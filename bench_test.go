@@ -40,7 +40,7 @@ func BenchmarkTable1Collect(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if res.PAGBytes <= 0 {
+				if res.PAGBytes() <= 0 {
 					b.Fatal("empty PAG")
 				}
 			}

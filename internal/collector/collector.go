@@ -3,14 +3,18 @@
 // ("binary"), marking what can only be resolved at runtime; the dynamic
 // phase runs the program under lightweight instrumentation — a
 // calling-context sampler plus communication/lock hooks — and embeds the
-// collected data into the PAG. It also measures the costs reported in
-// Table 1: static analysis time, dynamic runtime overhead, and PAG storage
-// size, and supports a pure-dynamic mode and a full-tracing mode for the
-// ablation and baseline comparisons.
+// collected data into the PAG. A collection runs the simulator once, under
+// instrumentation, and times the static phase. The other two costs of
+// Table 1 are computed only when asked for: Result.Overhead replays the
+// program without instrumentation to get the dynamic runtime overhead, and
+// Result.PAGBytes sizes the PAG storage. The package also supports a
+// pure-dynamic mode and a full-tracing mode for the ablation and baseline
+// comparisons.
 package collector
 
 import (
 	"context"
+	"errors"
 	"time"
 
 	"perflow/internal/ir"
@@ -72,8 +76,9 @@ type Options struct {
 	// identical at every setting.
 	Parallelism int
 
-	// Faults injects deterministic failures into both simulator runs; see
-	// mpisim.FaultPlan. A non-nil plan implies AllowPartial.
+	// Faults injects deterministic failures into the simulator run (and the
+	// reference run behind Result.Overhead); see mpisim.FaultPlan. A non-nil
+	// plan implies AllowPartial.
 	Faults *mpisim.FaultPlan
 
 	// AllowPartial builds both PAG views from whatever ranks survived a
@@ -93,15 +98,8 @@ type Result struct {
 	// StaticTime is the measured wall-clock cost of static PAG extraction
 	// (Table 1 "Static").
 	StaticTime time.Duration
-	// CleanTime and InstrumentedTime are the virtual makespans without and
-	// with instrumentation; DynamicOverheadPct is their relative difference
-	// (Table 1 "Dynamic").
-	CleanTime          float64
-	InstrumentedTime   float64
-	DynamicOverheadPct float64
-	// PAGBytes is the serialized storage cost of the built views
-	// (Table 1 "Space").
-	PAGBytes int64
+	// InstrumentedTime is the virtual makespan of the instrumented run.
+	InstrumentedTime float64
 	// TraceBytes is the full-event-trace storage cost (ModeTracing only;
 	// the §5.3 Scalasca storage comparison).
 	TraceBytes int64
@@ -109,6 +107,43 @@ type Result struct {
 	// Coverage summarizes per-rank data quality for degraded runs (fault
 	// injection or salvaged traces); nil for a clean run.
 	Coverage *Coverage
+
+	// prog and base are what Overhead needs to replay the collection
+	// without instrumentation.
+	prog *ir.Program
+	base mpisim.Config
+}
+
+// Overhead runs the uninstrumented reference simulation under the
+// collection's configuration (network overrides and fault plan included)
+// and returns its virtual makespan and the instrumented run's relative
+// overhead in percent (Table 1 "Dynamic"). Each call simulates anew;
+// cancellation of ctx aborts it with ctx.Err(). A Result that was not
+// collected (one rebuilt from a saved PAG) has no program to replay.
+func (r *Result) Overhead(ctx context.Context) (clean, pct float64, err error) {
+	if r.prog == nil {
+		return 0, 0, errors.New("collector: overhead needs a collected result")
+	}
+	run, err := mpisim.RunCtx(ctx, r.prog, r.base)
+	if err != nil {
+		return 0, 0, err
+	}
+	clean = run.TotalTime()
+	if clean > 0 {
+		pct = 100 * (r.InstrumentedTime - clean) / clean
+	}
+	return clean, pct, nil
+}
+
+// PAGBytes is the serialized storage cost of the views as they stand now
+// (Table 1 "Space"). Passes that annotate the PAG grow it, so call it right
+// after collecting to measure what collection stored.
+func (r *Result) PAGBytes() int64 {
+	n := r.TopDown.SerializedSize()
+	if r.Parallel != nil {
+		n += r.Parallel.SerializedSize()
+	}
+	return n
 }
 
 // Collect runs the full pipeline on program p.
@@ -116,9 +151,10 @@ func Collect(p *ir.Program, opts Options) (*Result, error) {
 	return CollectCtx(context.Background(), p, opts)
 }
 
-// CollectCtx is Collect under a caller-supplied context. Cancellation and
-// deadlines propagate into both simulator runs and are checked between the
-// pipeline phases, so a collection in flight aborts promptly with ctx.Err().
+// CollectCtx is Collect under a caller-supplied context. It runs the
+// simulator once, instrumented. Cancellation and deadlines propagate into
+// that run and are checked between the pipeline phases, so a collection in
+// flight aborts promptly with ctx.Err().
 func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, error) {
 	if opts.Ranks <= 0 {
 		opts.Ranks = 1
@@ -127,7 +163,7 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 		opts.Threads = 1
 	}
 
-	res := &Result{}
+	res := &Result{prog: p}
 
 	// ---- static phase ----
 	t0 := time.Now()
@@ -135,7 +171,7 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 	res.StaticTime = time.Since(t0)
 	res.TopDown = td
 
-	base := mpisim.Config{
+	res.base = mpisim.Config{
 		NRanks: opts.Ranks, Threads: opts.Threads,
 		Latency: opts.Latency, Bandwidth: opts.Bandwidth,
 		EagerThreshold: opts.EagerThreshold,
@@ -143,15 +179,8 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 		AllowPartial:   opts.AllowPartial || opts.Faults != nil,
 	}
 
-	// ---- clean reference run (no instrumentation) ----
-	clean, err := mpisim.RunCtx(ctx, p, base)
-	if err != nil {
-		return nil, err
-	}
-	res.CleanTime = clean.TotalTime()
-
 	// ---- instrumented run ----
-	instr := base
+	instr := res.base
 	switch opts.Mode {
 	case ModeHybrid:
 		instr.PerEventOverhead = hybridEventOverhead
@@ -170,9 +199,6 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 	}
 	res.Run = run
 	res.InstrumentedTime = run.TotalTime()
-	if res.CleanTime > 0 {
-		res.DynamicOverheadPct = 100 * (res.InstrumentedTime - res.CleanTime) / res.CleanTime
-	}
 
 	// ---- embedding ----
 	if err := ctx.Err(); err != nil {
@@ -188,7 +214,6 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 			td.AttachDiagnostics([]lint.Diagnostic{*d})
 		}
 	}
-	res.PAGBytes = td.SerializedSize()
 	// Pre-warm the frozen CSR snapshot: construction is complete, so the
 	// analysis passes (name lookups, traversals, matching) hit the indexes
 	// without paying the O(V+E) build inside a timed pass.
@@ -202,7 +227,6 @@ func CollectCtx(ctx context.Context, p *ir.Program, opts Options) (*Result, erro
 		if res.Coverage != nil {
 			res.Parallel.TagDataQuality(run)
 		}
-		res.PAGBytes += res.Parallel.SerializedSize()
 		res.Parallel.G.Frozen()
 	}
 	if opts.Mode == ModeTracing {

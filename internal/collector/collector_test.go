@@ -30,6 +30,16 @@ func program(t testing.TB) *ir.Program {
 	return p
 }
 
+// overhead runs a result's reference simulation and fails the test on error.
+func overhead(t testing.TB, res *Result) (clean, pct float64) {
+	t.Helper()
+	clean, pct, err := res.Overhead(context.Background())
+	if err != nil {
+		t.Fatalf("Overhead: %v", err)
+	}
+	return clean, pct
+}
+
 func TestCollectHybrid(t *testing.T) {
 	res, err := Collect(program(t), Options{Ranks: 4, Mode: ModeHybrid})
 	if err != nil {
@@ -41,13 +51,14 @@ func TestCollectHybrid(t *testing.T) {
 	if res.StaticTime <= 0 {
 		t.Error("static time not measured")
 	}
-	if res.DynamicOverheadPct <= 0 {
-		t.Errorf("dynamic overhead = %v, want > 0", res.DynamicOverheadPct)
+	_, pct := overhead(t, res)
+	if pct <= 0 {
+		t.Errorf("dynamic overhead = %v, want > 0", pct)
 	}
-	if res.DynamicOverheadPct > 20 {
-		t.Errorf("hybrid overhead = %v%%, implausibly high", res.DynamicOverheadPct)
+	if pct > 20 {
+		t.Errorf("hybrid overhead = %v%%, implausibly high", pct)
 	}
-	if res.PAGBytes <= 0 {
+	if res.PAGBytes() <= 0 {
 		t.Error("PAG bytes not measured")
 	}
 	if res.TraceBytes != 0 {
@@ -70,9 +81,10 @@ func TestPureDynamicCostsMore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dy.DynamicOverheadPct <= hy.DynamicOverheadPct {
-		t.Errorf("pure dynamic (%v%%) should exceed hybrid (%v%%)",
-			dy.DynamicOverheadPct, hy.DynamicOverheadPct)
+	_, hyPct := overhead(t, hy)
+	_, dyPct := overhead(t, dy)
+	if dyPct <= hyPct {
+		t.Errorf("pure dynamic (%v%%) should exceed hybrid (%v%%)", dyPct, hyPct)
 	}
 }
 
@@ -86,15 +98,16 @@ func TestTracingCostsAndStorage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.DynamicOverheadPct <= hy.DynamicOverheadPct {
-		t.Errorf("tracing overhead (%v%%) should exceed hybrid (%v%%)",
-			tr.DynamicOverheadPct, hy.DynamicOverheadPct)
+	_, hyPct := overhead(t, hy)
+	_, trPct := overhead(t, tr)
+	if trPct <= hyPct {
+		t.Errorf("tracing overhead (%v%%) should exceed hybrid (%v%%)", trPct, hyPct)
 	}
 	if tr.TraceBytes <= 0 {
 		t.Error("tracing mode should report trace storage")
 	}
-	if tr.TraceBytes <= hy.PAGBytes/4 {
-		t.Errorf("trace storage (%d) should rival or exceed PAG storage (%d)", tr.TraceBytes, hy.PAGBytes)
+	if tr.TraceBytes <= hy.PAGBytes()/4 {
+		t.Errorf("trace storage (%d) should rival or exceed PAG storage (%d)", tr.TraceBytes, hy.PAGBytes())
 	}
 }
 
@@ -120,8 +133,10 @@ func TestCollectAtScales(t *testing.T) {
 		t.Errorf("scales wrong: %d/%d", small.Run.NRanks, large.Run.NRanks)
 	}
 	// Strong-scaled work: large run should be faster per the ScaleInvP cost.
-	if large.CleanTime >= small.CleanTime {
-		t.Errorf("large run (%v) should be faster than small (%v)", large.CleanTime, small.CleanTime)
+	smallClean, _ := overhead(t, small)
+	largeClean, _ := overhead(t, large)
+	if largeClean >= smallClean {
+		t.Errorf("large run (%v) should be faster than small (%v)", largeClean, smallClean)
 	}
 }
 

@@ -279,9 +279,10 @@ type portKey struct {
 //
 // Cancellation of ctx stops the run: no new pass starts, context-aware
 // passes (ContextPass) are interrupted, and all in-flight passes drain
-// before RunCtx returns. The first pass failure likewise cancels the
-// remaining work; when several parallel passes fail, the reported error is
-// deterministic (the failing node added earliest wins).
+// before RunCtx returns. A pass failure likewise cancels the work added
+// after the failing node; passes added before it still run, so when several
+// passes fail the reported error is deterministic whatever the timing (the
+// failing node added earliest wins).
 //
 // When one output port feeds several consumers, each consumer receives its
 // own shallow copy of the set (shared environment, private V/E slices), so
@@ -330,8 +331,8 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 	var (
 		mu           sync.Mutex
 		queue        = make(chan *PNode, total) // never blocks: each node enqueued once
-		remaining    = total
-		failures     = map[int]error{}
+		pending      int                        // nodes enqueued and not yet settled
+		front        = newFailFront(g, workers)
 		passFailures []PassFailure // degraded mode: failures that did not stop the run
 		spans        = make([]PassSpan, 0, total)
 	)
@@ -339,21 +340,31 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 	for id, d := range indeg {
 		if d == 0 {
 			queue <- g.nodes[id]
+			pending++
+		}
+	}
+	// settle retires one enqueued node; the last one closes the queue.
+	settle := func() {
+		pending--
+		if pending == 0 {
+			close(queue)
 		}
 	}
 
 	// finish records one node's outcome and releases newly-ready successors.
-	// In degraded mode a failed node substitutes fallback (empty sets sized
-	// to its consumed ports) and the graph keeps going; run-level
-	// cancellation is never absorbed.
+	// A fatal failure releases nothing and cancels the in-flight nodes
+	// ranked above it (see failFront). In degraded mode a failed node
+	// substitutes fallback (empty sets sized to its consumed ports) and the
+	// graph keeps going; run-level cancellation is never absorbed.
 	finish := func(n *PNode, out []*Set, err error, fallback []*Set) {
 		mu.Lock()
 		defer mu.Unlock()
+		front.end(n.id)
+		defer settle()
 		if err != nil {
 			if !cfg.continueOnFailure || errors.Is(err, context.Canceled) ||
 				(errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil) {
-				failures[n.id] = err
-				cancel() // first failure cancels in-flight siblings
+				front.fail(n.id, err)
 				return
 			}
 			passFailures = append(passFailures, PassFailure{
@@ -363,15 +374,11 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		}
 		n.outputs = out
 		n.done = true
-		remaining--
-		if remaining == 0 {
-			close(queue)
-			return
-		}
 		for _, sid := range succs[n.id] {
 			indeg[sid]--
 			if indeg[sid] == 0 {
 				queue <- g.nodes[sid]
+				pending++
 			}
 		}
 	}
@@ -389,7 +396,15 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 					if !ok || rctx.Err() != nil {
 						return
 					}
-					g.execNode(rctx, n, wid, start, cfg, consumers, &mu, &spans, finish)
+					mu.Lock()
+					if front.skip(n.id, nil) {
+						settle()
+						mu.Unlock()
+						continue
+					}
+					nctx := front.begin(rctx, n.id, nil)
+					mu.Unlock()
+					g.execNode(nctx, n, wid, start, cfg, consumers, &mu, &spans, finish)
 				}
 			}
 		}(w)
@@ -401,8 +416,8 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 	trace.Failures = passFailures
 	g.lastTrace = trace
 
-	if len(failures) > 0 {
-		id, err := firstFailure(failures)
+	if len(front.failures) > 0 {
+		id, err := front.first()
 		return nil, fmt.Errorf("core: pass %q: %w", g.nodes[id].Name(), err)
 	}
 	if err := ctx.Err(); err != nil {
@@ -589,26 +604,143 @@ func runPass(ctx context.Context, p Pass, in []*Set) (out []*Set, err error) {
 	return p.Run(in)
 }
 
-// firstFailure picks the reported error deterministically: the earliest-
-// added failing node wins, and genuine pass failures take precedence over
-// cancellation fallout from siblings.
-func firstFailure(failures map[int]error) (int, error) {
+// failFront makes fail-fast deterministic. Every node has a rank: its id,
+// raised to the rank of its latest predecessor, so ranks follow the order
+// nodes were added and never decrease along an edge. Once a node fails
+// fatally, units (single nodes, or planned stages ranked by their earliest
+// member) ranked above it are skipped or canceled, while units ranked at or
+// below it still run: one of them may fail too and then takes precedence.
+// The reported error is therefore the one a sequential run in rank order
+// would hit, whatever the timing. Methods are called under the run mutex.
+type failFront struct {
+	g        *PerFlowGraph
+	rank     []int          // built at the first fatal failure
+	min      int            // rank of the earliest fatal failure; -1 while none
+	failures map[int]error  // fatal errors by node id
+	inflight []inflightUnit // running units by lead node id; nil with one worker
+}
+
+// inflightUnit is one running unit: its cancel func (nil when the slot is
+// idle) and, for a planned stage, its members (nil for a single node,
+// which is its own lead).
+type inflightUnit struct {
+	cancel context.CancelFunc
+	nodes  []*PNode
+}
+
+func newFailFront(g *PerFlowGraph, workers int) *failFront {
+	f := &failFront{g: g, min: -1, failures: map[int]error{}}
+	if workers > 1 {
+		f.inflight = make([]inflightUnit, len(g.nodes))
+	}
+	return f
+}
+
+// rankOf returns a node's rank, building the rank table on first use.
+func (f *failFront) rankOf(id int) int {
+	if f.rank == nil {
+		f.rank = make([]int, len(f.g.nodes))
+		for i := range f.rank {
+			f.rank[i] = -1
+		}
+		var visit func(n *PNode) int
+		visit = func(n *PNode) int {
+			if r := f.rank[n.id]; r >= 0 {
+				return r
+			}
+			r := n.id
+			for _, ref := range n.inputs {
+				r = max(r, visit(ref.node))
+			}
+			for _, d := range n.after {
+				r = max(r, visit(d))
+			}
+			f.rank[n.id] = r
+			return r
+		}
+		for _, n := range f.g.nodes {
+			visit(n)
+		}
+	}
+	return f.rank[id]
+}
+
+// unitRank ranks a unit by its earliest member.
+func (f *failFront) unitRank(lead int, nodes []*PNode) int {
+	r := f.rankOf(lead)
+	for _, n := range nodes {
+		r = min(r, f.rankOf(n.id))
+	}
+	return r
+}
+
+// skip reports whether a unit about to start can no longer affect the
+// reported error.
+func (f *failFront) skip(lead int, nodes []*PNode) bool {
+	return f.min >= 0 && f.unitRank(lead, nodes) > f.min
+}
+
+// begin registers a starting unit and returns the context it runs under.
+// With one worker no sibling is ever in flight, so the run context serves.
+func (f *failFront) begin(ctx context.Context, lead int, nodes []*PNode) context.Context {
+	if f.inflight == nil {
+		return ctx
+	}
+	uctx, cancel := context.WithCancel(ctx)
+	f.inflight[lead] = inflightUnit{cancel: cancel, nodes: nodes}
+	return uctx
+}
+
+// end deregisters a finished unit and releases its context.
+func (f *failFront) end(lead int) {
+	if f.inflight != nil && f.inflight[lead].cancel != nil {
+		f.inflight[lead].cancel()
+		f.inflight[lead] = inflightUnit{}
+	}
+}
+
+// fail records a fatal failure of node id and cancels the in-flight units
+// ranked above it.
+func (f *failFront) fail(id int, err error) {
+	f.failures[id] = err
+	r := f.rankOf(id)
+	if f.min >= 0 && r >= f.min {
+		return
+	}
+	f.min = r
+	for lead, u := range f.inflight {
+		if u.cancel != nil && f.unitRank(lead, u.nodes) > r {
+			u.cancel()
+		}
+	}
+}
+
+// first picks the reported error: the lowest-ranked failing node wins (ties
+// go to the earlier-added node), and genuine pass failures take precedence
+// over cancellation fallout from siblings.
+func (f *failFront) first() (int, error) {
+	before := func(a, b int) bool {
+		if ra, rb := f.rankOf(a), f.rankOf(b); ra != rb {
+			return ra < rb
+		}
+		return a < b
+	}
 	bestID, bestAny := -1, -1
-	for id, err := range failures {
-		if bestAny < 0 || id < bestAny {
+	for id, err := range f.failures {
+		if bestAny < 0 || before(id, bestAny) {
 			bestAny = id
 		}
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			continue
 		}
-		if bestID < 0 || id < bestID {
+		if bestID < 0 || before(id, bestID) {
 			bestID = id
 		}
 	}
 	if bestID < 0 {
 		bestID = bestAny
 	}
-	return bestID, failures[bestID]
+	return bestID, f.failures[bestID]
 }
 
 func setSizes(sets []*Set) []int {

@@ -230,6 +230,42 @@ func TestFirstErrorDeterministic(t *testing.T) {
 	}
 }
 
+// TestSlowEarlierFailureWins: the later-added sibling always fails first,
+// yet the earlier-added node still runs to its own failure and is the one
+// reported, under both executors. A context-aware pass added after the
+// failure is canceled rather than waited for.
+func TestSlowEarlierFailureWins(t *testing.T) {
+	for _, planned := range []bool{true, false} {
+		env := fakeEnv("a")
+		g := NewPerFlowGraph()
+		src := g.AddSource("src", AllVertices(env))
+		g.Chain(src, PassFunc{PassName: "first_fail", NumIn: 1, Fn: func(in []*Set) ([]*Set, error) {
+			time.Sleep(20 * time.Millisecond)
+			return nil, fmt.Errorf("first_fail exploded")
+		}})
+		g.Chain(src, PassFunc{PassName: "second_fail", NumIn: 1, Fn: func(in []*Set) ([]*Set, error) {
+			return nil, fmt.Errorf("second_fail exploded")
+		}})
+		g.Chain(src, CtxPassFunc{PassName: "late_sibling", NumIn: 1,
+			Fn: func(ctx context.Context, in []*Set) ([]*Set, error) {
+				select {
+				case <-ctx.Done():
+					return nil, ctx.Err()
+				case <-time.After(10 * time.Second):
+					return in, nil
+				}
+			}})
+		start := time.Now()
+		_, err := g.Run(WithMaxWorkers(3), WithPlanning(planned))
+		if err == nil || !strings.Contains(err.Error(), "first_fail") {
+			t.Fatalf("planned=%v: error = %v, want first_fail", planned, err)
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Errorf("planned=%v: failure did not cancel the later sibling", planned)
+		}
+	}
+}
+
 func TestFailureCancelsSiblings(t *testing.T) {
 	env := fakeEnv("a")
 	g := NewPerFlowGraph()

@@ -27,8 +27,8 @@ func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers in
 	var (
 		mu           sync.Mutex
 		queue        = make(chan *planStage, len(p.stages))
-		remaining    = len(p.stages)
-		failures     = map[int]error{}
+		pending      int // stages enqueued and not yet settled
+		front        = newFailFront(g, workers)
 		passFailures []PassFailure
 		spans        = make([]PassSpan, 0, len(g.nodes))
 		indeg        = append([]int(nil), p.indeg...)
@@ -53,19 +53,27 @@ func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers in
 	for i, d := range indeg {
 		if d == 0 {
 			queue <- p.stages[i]
+			pending++
+		}
+	}
+	settle := func() {
+		pending--
+		if pending == 0 {
+			close(queue)
 		}
 	}
 
-	// finishStage mirrors RunCtx's finish at stage granularity: on fatal
-	// failure the run cancels without releasing successors; otherwise the
-	// stage's completion releases newly-ready stages and drops hoisted
-	// materialization references.
+	// finishStage mirrors RunCtx's finish at stage granularity: a fatal
+	// failure releases nothing and cancels the in-flight stages ranked above
+	// it; otherwise the stage's completion releases newly-ready stages and
+	// drops hoisted materialization references.
 	finishStage := func(st *planStage, fatalNode int, fatalErr error) {
 		mu.Lock()
 		defer mu.Unlock()
+		front.end(st.nodes[0].id)
+		defer settle()
 		if fatalErr != nil {
-			failures[fatalNode] = fatalErr
-			cancel()
+			front.fail(fatalNode, fatalErr)
 			return
 		}
 		for _, mat := range p.mats {
@@ -76,15 +84,11 @@ func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers in
 				}
 			}
 		}
-		remaining--
-		if remaining == 0 {
-			close(queue)
-			return
-		}
 		for _, sid := range p.succs[st.id] {
 			indeg[sid]--
 			if indeg[sid] == 0 {
 				queue <- p.stages[sid]
+				pending++
 			}
 		}
 	}
@@ -102,7 +106,16 @@ func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers in
 					if !ok || rctx.Err() != nil {
 						return
 					}
-					fatalNode, fatalErr := g.execStage(rctx, ctx, st, wid, start, cfg,
+					lead := st.nodes[0].id
+					mu.Lock()
+					if front.skip(lead, st.nodes) {
+						settle()
+						mu.Unlock()
+						continue
+					}
+					sctx := front.begin(rctx, lead, st.nodes)
+					mu.Unlock()
+					fatalNode, fatalErr := g.execStage(sctx, ctx, st, wid, start, cfg,
 						consumers, p, &mu, &spans, &passFailures)
 					finishStage(st, fatalNode, fatalErr)
 				}
@@ -118,8 +131,8 @@ func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers in
 	trace.Plan = p.trace
 	g.lastTrace = trace
 
-	if len(failures) > 0 {
-		id, err := firstFailure(failures)
+	if len(front.failures) > 0 {
+		id, err := front.first()
 		return nil, fmt.Errorf("core: pass %q: %w", g.nodes[id].Name(), err)
 	}
 	if err := ctx.Err(); err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -42,7 +43,15 @@ func AblationHybridVsDynamic(ranks int, programs []string) ([]HybridVsDynamicRow
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, HybridVsDynamicRow{Program: name, HybridPct: hy.DynamicOverheadPct, DynamicPct: dy.DynamicOverheadPct})
+		_, hyPct, err := hy.Overhead(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		_, dyPct, err := dy.Overhead(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, HybridVsDynamicRow{Program: name, HybridPct: hyPct, DynamicPct: dyPct})
 	}
 	return rows, nil
 }
@@ -82,14 +91,22 @@ func AblationSamplingVsTracing(ranks int, programs []string) ([]SamplingVsTracin
 		if err != nil {
 			return nil, err
 		}
+		_, saPct, err := sa.Overhead(context.Background())
+		if err != nil {
+			return nil, err
+		}
 		tr, err := collector.Collect(p, collector.Options{Ranks: ranks, Mode: collector.ModeTracing})
+		if err != nil {
+			return nil, err
+		}
+		_, trPct, err := tr.Overhead(context.Background())
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, SamplingVsTracingRow{
 			Program:     name,
-			SamplingPct: sa.DynamicOverheadPct, SamplingB: sa.PAGBytes,
-			TracingPct: tr.DynamicOverheadPct, TracingB: tr.TraceBytes,
+			SamplingPct: saPct, SamplingB: sa.PAGBytes(),
+			TracingPct: trPct, TracingB: tr.TraceBytes,
 		})
 	}
 	return rows, nil

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -129,6 +130,11 @@ func Compare(ranks int, w io.Writer) ([]CompareRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, pfPct, err := pfRes.Overhead(context.Background())
+	if err != nil {
+		return nil, err
+	}
+	pfBytes := pfRes.PAGBytes()
 	// mpiP: PMPI interposition only — comm events carry the overhead, no
 	// sampling. Model with hybrid collection minus sampling: statistically
 	// identical here, so reuse the hybrid overhead and the tiny tabular
@@ -145,31 +151,35 @@ func Compare(ranks int, w io.Writer) ([]CompareRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	_, trPct, err := trRes.Overhead(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	sc := baselines.Scalasca(trRes.Run)
 
 	rows := []CompareRow{
 		{
 			Tool:        "mpiP",
-			OverheadPct: pfRes.DynamicOverheadPct * 0.4, // interposition only, no sampler
+			OverheadPct: pfPct * 0.4, // interposition only, no sampler
 			StorageB:    int64(mpipBuf.Len()),
 			Output:      fmt.Sprintf("%d call-site rows; hotspots only, no causes", len(mpipRows)),
 		},
 		{
 			Tool:        "HPCToolkit",
-			OverheadPct: pfRes.DynamicOverheadPct,
+			OverheadPct: pfPct,
 			StorageB:    int64(len(hpcRows) * 48),
 			Output:      fmt.Sprintf("%d calling contexts; loop-level hotspots + scaling losses, no chain", len(hpcRows)),
 		},
 		{
 			Tool:        "Scalasca",
-			OverheadPct: trRes.DynamicOverheadPct,
+			OverheadPct: trPct,
 			StorageB:    sc.TraceBytes,
 			Output:      fmt.Sprintf("%d traced events; automatic wait-state classes", sc.Events),
 		},
 		{
 			Tool:        "PerFlow",
-			OverheadPct: pfRes.DynamicOverheadPct,
-			StorageB:    pfRes.PAGBytes,
+			OverheadPct: pfPct,
+			StorageB:    pfBytes,
 			Output:      "root-cause propagation paths via scalability paradigm",
 		},
 	}

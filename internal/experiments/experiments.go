@@ -54,11 +54,15 @@ func Table1(ranks int) ([]Table1Row, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
+		_, pct, err := res.Overhead(context.Background())
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 		rows = append(rows, Table1Row{
 			Program:     name,
 			StaticMS:    float64(res.StaticTime.Microseconds()) / 1000,
-			DynamicPct:  res.DynamicOverheadPct,
-			SpaceBytes:  res.PAGBytes,
+			DynamicPct:  pct,
+			SpaceBytes:  res.PAGBytes(),
 			EventsTotal: res.Run.NumEvents(),
 		})
 	}
@@ -207,6 +211,10 @@ func CaseB(ranks int, w io.Writer) (*CaseBResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	cleanTime, _, err := res.Overhead(context.Background())
+	if err != nil {
+		return nil, err
+	}
 	out := &CaseBResult{Ranks: ranks}
 	stats := res.Run.ComputeStats()
 	out.CommFractionPct = 100 * stats.CommFraction
@@ -268,7 +276,7 @@ func CaseB(ranks int, w io.Writer) (*CaseBResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.StepsPerSecOrig = workloads.TimestepsPerSecond(res.CleanTime)
+	out.StepsPerSecOrig = workloads.TimestepsPerSecond(cleanTime)
 	out.StepsPerSecBal = workloads.TimestepsPerSecond(bal.TotalTime())
 	out.ImprovementPct = 100 * (out.StepsPerSecBal - out.StepsPerSecOrig) / out.StepsPerSecOrig
 	return out, nil

@@ -11,6 +11,7 @@ package interactive
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -34,6 +35,11 @@ type Session struct {
 	cur  *core.Set
 	past []*core.Set // undo stack
 	name string
+
+	// Collection overhead and PAG storage of res, measured when it loaded,
+	// before any command annotates the PAG.
+	overheadPct float64
+	pagBytes    int64
 }
 
 // New creates a session writing to out.
@@ -330,7 +336,12 @@ func (s *Session) collect(prog *ir.Program, name string, scaleArgs []string) err
 	if err != nil {
 		return err
 	}
+	_, pct, err := res.Overhead(context.Background())
+	if err != nil {
+		return err
+	}
 	s.res = res
+	s.overheadPct, s.pagBytes = pct, res.PAGBytes()
 	s.name = name
 	s.cur = core.AllVertices(res.TopDown)
 	s.past = nil
@@ -348,7 +359,7 @@ func (s *Session) cmdInfo() error {
 			pv, pe := s.res.Parallel.Size()
 			fmt.Fprintf(s.out, "parallel view: %d vertices, %d edges\n", pv, pe)
 		}
-		fmt.Fprintf(s.out, "collection: %.2f%% overhead, %d B PAG storage\n", s.res.DynamicOverheadPct, s.res.PAGBytes)
+		fmt.Fprintf(s.out, "collection: %.2f%% overhead, %d B PAG storage\n", s.overheadPct, s.pagBytes)
 		stats := s.res.Run.ComputeStats()
 		fmt.Fprintf(s.out, "communication share: %.2f%%\n", 100*stats.CommFraction)
 		return nil

@@ -227,9 +227,9 @@ func (pf *PerFlow) Run(p *Program, opts RunOptions) (*Result, error) {
 }
 
 // RunCtx is Run under a caller-supplied context, threaded end-to-end:
-// cancellation and deadlines propagate through the lint phase, both
-// simulator runs, and PAG construction, so a run in flight aborts promptly
-// with ctx.Err(). Run, RunWorkload and RunDSL are thin wrappers over the
+// cancellation and deadlines propagate through the lint phase, the one
+// (instrumented) simulator run, and PAG construction, so a run in flight
+// aborts promptly with ctx.Err(). Run, RunWorkload and RunDSL are thin wrappers over the
 // Ctx variants.
 func (pf *PerFlow) RunCtx(ctx context.Context, p *Program, opts RunOptions) (*Result, error) {
 	if p == nil {
@@ -283,9 +283,9 @@ func collectorOptions(opts RunOptions) collector.Options {
 
 // RunAtScalesCtx collects the program at two scales through the collector's
 // cancellation-aware two-scale pipeline (the input shape of scalability
-// analysis), sharing the lint gate with RunCtx. The program is linted once;
-// cancellation between and during the two collections aborts promptly with
-// ctx.Err().
+// analysis), sharing the lint gate with RunCtx. The program is linted once
+// and each collection runs the simulator once; cancellation between and
+// during the two collections aborts promptly with ctx.Err().
 func (pf *PerFlow) RunAtScalesCtx(ctx context.Context, p *Program, small, large RunOptions) (*Result, *Result, error) {
 	if p == nil {
 		return nil, nil, fmt.Errorf("perflow: nil program")
