@@ -426,8 +426,8 @@ func BenchmarkFlowGraphParallel(b *testing.B) {
 
 // BenchmarkPlannedVsUnplanned measures the pass-plan compiler end to end:
 // the same analysis graphs run with planning on (fusion, traversal
-// selection, hoisted materializations) and off (the classic per-node
-// scheduler). Three shapes at ranks 8 and 64 on the zeusmp Table-1 model:
+// selection, hoisted materializations) and off (one stage per pass in the
+// same executor). Three shapes at ranks 8 and 64 on the zeusmp Table-1 model:
 // "comm" is the §2.2 communication-analysis paradigm (chain fusion),
 // "profiler" is an mpiP-style fan-out of six sibling scan passes over the
 // filtered MPI set of the parallel view (scan fusion, clone elision, and

@@ -47,7 +47,7 @@ func runGate(args []string, stdout, stderr io.Writer) int {
 		par        = fs.Int("j", 0, "worker count for sharded PAG construction (0 = all cores)")
 		faults     = fs.String("faults", "", "deterministic fault-injection plan applied to the run(s)")
 		skipLint   = fs.Bool("skip-lint", false, "skip the static diagnostics gate before simulation")
-		noPlan     = fs.Bool("noplan", false, "disable the pass-plan compiler; gate results are identical either way")
+		noPlan     = fs.Bool("noplan", false, "turn pass fusion off; gate results are identical either way")
 		jsonOut    = fs.Bool("json", false, "emit the gate result as JSON")
 		report     = fs.Bool("report", false, "also print the analysis report before the gate result")
 	)

@@ -183,7 +183,7 @@ func main() {
 			"deterministic fault-injection plan, e.g. \"seed=7;crash:rank=3,at=5000;drop:rank=1,prob=0.5;slow:rank=2,factor=4\"; the analysis degrades gracefully and reports data quality")
 		predict  = flag.Bool("predict", false, "append the static prediction section: the symbolic engine's predicted communication matrix and cost model cross-checked against the collected run")
 		skipLint = flag.Bool("skip-lint", false, "skip the static diagnostics gate before simulation")
-		noPlan   = flag.Bool("noplan", false, "disable the pass-plan compiler and use the classic per-node scheduler; reports are byte-identical either way")
+		noPlan   = flag.Bool("noplan", false, "turn pass fusion off: run every pass as its own stage; reports are byte-identical either way")
 		trace    = flag.Bool("trace", false, "after a paradigm analysis, print its per-pass execution trace (with the compiled plan unless -noplan)")
 		dotOut   = flag.String("dot", "", "write the highlighted result graph in DOT format to this file")
 		savePAG  = flag.String("save-pag", "", "after running, persist the top-down PAG to this file for offline analysis")

@@ -55,7 +55,8 @@ type ExecutionTrace struct {
 	// (degraded mode), ordered by node id. Empty for a clean run.
 	Failures []PassFailure
 	// Plan records the pass-plan compiler's decisions for the run; nil when
-	// the run used the classic per-node scheduler (WithPlanning(false)).
+	// the run had fusion off (WithPlanning(false)), whose one-stage-per-pass
+	// plan involves no decisions.
 	Plan *PlanTrace
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -89,7 +90,6 @@ type PNode struct {
 	seed []*Set
 
 	outputs []*Set // one set per output port, filled during Run
-	done    bool
 }
 
 type portRef struct {
@@ -225,13 +225,14 @@ func WithContinueOnFailure() RunOption {
 	return func(c *runConfig) { c.continueOnFailure = true }
 }
 
-// WithPlanning toggles the pass-plan compiler (default on). With planning,
-// the whole graph is compiled into an execution plan before any pass runs —
-// sibling scan passes fuse into one traversal, pure chains collapse into one
-// stage, shared structure artifacts are hoisted and refcounted — and
-// ExecutionTrace.Plan records every decision. Results are byte-identical
-// either way; WithPlanning(false) is the escape hatch that forces the
-// classic per-node scheduler (the pflow -noplan flag).
+// WithPlanning toggles pass fusion in the pass-plan compiler (default on).
+// Every run executes a compiled stage plan. With fusion on, sibling scan
+// passes fuse into one traversal, pure chains collapse into one stage,
+// shared structure artifacts are hoisted and refcounted, and
+// ExecutionTrace.Plan records every decision. WithPlanning(false) turns
+// fusion off in the same executor: every pass gets its own stage, the
+// stage DAG is the node DAG, nothing is hoisted and no decision record is
+// kept (the pflow -noplan flag). Results are byte-identical either way.
 func WithPlanning(on bool) RunOption {
 	return func(c *runConfig) { c.noPlan = !on }
 }
@@ -273,9 +274,10 @@ type portKey struct {
 
 // RunCtx executes the dataflow graph under ctx: the graph is validated up
 // front (unbound inputs, arity mismatches and cycles are rejected via
-// Kahn's algorithm before any pass runs), then passes fire the moment all
-// their inputs resolve, on a worker pool bounded by GOMAXPROCS (override
-// with WithMaxWorkers). Independent branches run in parallel goroutines.
+// Kahn's algorithm before any pass runs) and compiled into a stage plan
+// (see WithPlanning), then stages fire the moment all their inputs
+// resolve, on a worker pool bounded by GOMAXPROCS (override with
+// WithMaxWorkers). Independent branches run in parallel goroutines.
 //
 // Cancellation of ctx stops the run: no new pass starts, context-aware
 // passes (ContextPass) are interrupted, and all in-flight passes drain
@@ -284,9 +286,10 @@ type portKey struct {
 // passes fail the reported error is deterministic whatever the timing (the
 // failing node added earliest wins).
 //
-// When one output port feeds several consumers, each consumer receives its
-// own shallow copy of the set (shared environment, private V/E slices), so
-// an in-place-mutating consumer cannot corrupt its siblings' inputs.
+// When one output port feeds several consumers in other stages, each
+// consumer receives its own shallow copy of the set (shared environment,
+// private V/E slices), so an in-place-mutating consumer cannot corrupt its
+// siblings' inputs.
 func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -304,12 +307,11 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		workers = total
 	}
 
-	succs, indeg, consumers, err := g.validate()
+	d, err := g.validate()
 	if err != nil {
 		return nil, err
 	}
 	for _, n := range g.nodes {
-		n.done = false
 		n.outputs = nil
 	}
 	g.lastTrace = nil
@@ -319,31 +321,41 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		return newResults(g, tr), nil
 	}
 
-	if !cfg.noPlan {
-		if p := g.buildPlan(cfg, consumers); p != nil {
-			return g.runPlanned(ctx, cfg, workers, p, succs, consumers)
-		}
-	}
-
+	p := g.buildPlan(cfg, d)
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	r := &planRun{g: g, dag: d, p: p, cfg: cfg, octx: ctx, start: time.Now(),
+		spans: make([]PassSpan, 0, total)}
 	var (
-		mu           sync.Mutex
-		queue        = make(chan *PNode, total) // never blocks: each node enqueued once
-		pending      int                        // nodes enqueued and not yet settled
-		front        = newFailFront(g, workers)
-		passFailures []PassFailure // degraded mode: failures that did not stop the run
-		spans        = make([]PassSpan, 0, total)
+		queue   = make(chan *planStage, len(p.stages)) // never blocks: each stage enqueued once
+		pending int                                    // stages enqueued and not yet settled
+		front   = newFailFront(g, d.order, p.stages, workers)
+		indeg   = append([]int(nil), p.indeg...)
 	)
-	start := time.Now()
-	for id, d := range indeg {
-		if d == 0 {
-			queue <- g.nodes[id]
+
+	// Hoisted materializations build concurrently with the earliest stages;
+	// consumers block (inside the materials' sync.Once) only if they arrive
+	// before their artifact is ready.
+	var prewarm sync.WaitGroup
+	for _, mat := range p.mats {
+		prewarm.Add(1)
+		go func(mt *planMat) {
+			defer prewarm.Done()
+			reused := mt.m.prewarm(mt.kind)
+			r.mu.Lock()
+			mt.info.Reused = reused
+			r.mu.Unlock()
+		}(mat)
+	}
+
+	for i, deg := range indeg {
+		if deg == 0 {
+			queue <- p.stages[i]
 			pending++
 		}
 	}
-	// settle retires one enqueued node; the last one closes the queue.
+	// settle retires one enqueued stage; the last one closes the queue.
 	settle := func() {
 		pending--
 		if pending == 0 {
@@ -351,33 +363,31 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		}
 	}
 
-	// finish records one node's outcome and releases newly-ready successors.
-	// A fatal failure releases nothing and cancels the in-flight nodes
-	// ranked above it (see failFront). In degraded mode a failed node
-	// substitutes fallback (empty sets sized to its consumed ports) and the
-	// graph keeps going; run-level cancellation is never absorbed.
-	finish := func(n *PNode, out []*Set, err error, fallback []*Set) {
-		mu.Lock()
-		defer mu.Unlock()
-		front.end(n.id)
+	// finish records one stage's outcome. A fatal failure releases nothing
+	// and cancels the in-flight stages ranked above it (see failFront);
+	// otherwise the stage's completion releases newly-ready stages and drops
+	// hoisted materialization references.
+	finish := func(st *planStage, fatalNode int, fatalErr error) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		front.end(st)
 		defer settle()
-		if err != nil {
-			if !cfg.continueOnFailure || errors.Is(err, context.Canceled) ||
-				(errors.Is(err, context.DeadlineExceeded) && ctx.Err() != nil) {
-				front.fail(n.id, err)
-				return
-			}
-			passFailures = append(passFailures, PassFailure{
-				Node: n.id, Pass: n.Name(), Reason: failureReason(err), Err: err.Error(),
-			})
-			out = fallback
+		if fatalErr != nil {
+			front.fail(fatalNode, fatalErr)
+			return
 		}
-		n.outputs = out
-		n.done = true
-		for _, sid := range succs[n.id] {
+		for _, mat := range p.mats {
+			if mat.stages[st.id] {
+				mat.remaining--
+				if mat.remaining == 0 {
+					mat.info.ReleasedAfterStage = st.id
+				}
+			}
+		}
+		for _, sid := range p.succs[st.id] {
 			indeg[sid]--
 			if indeg[sid] == 0 {
-				queue <- g.nodes[sid]
+				queue <- p.stages[sid]
 				pending++
 			}
 		}
@@ -392,28 +402,31 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 				select {
 				case <-rctx.Done():
 					return
-				case n, ok := <-queue:
+				case st, ok := <-queue:
 					if !ok || rctx.Err() != nil {
 						return
 					}
-					mu.Lock()
-					if front.skip(n.id, nil) {
+					r.mu.Lock()
+					if front.skip(st) {
 						settle()
-						mu.Unlock()
+						r.mu.Unlock()
 						continue
 					}
-					nctx := front.begin(rctx, n.id, nil)
-					mu.Unlock()
-					g.execNode(nctx, n, wid, start, cfg, consumers, &mu, &spans, finish)
+					sctx := front.begin(rctx, st)
+					r.mu.Unlock()
+					fatalNode, fatalErr := r.execStage(sctx, st, wid)
+					finish(st, fatalNode, fatalErr)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
+	prewarm.Wait()
 
-	sort.Slice(passFailures, func(i, j int) bool { return passFailures[i].Node < passFailures[j].Node })
-	trace := newExecutionTrace(workers, time.Since(start), spans)
-	trace.Failures = passFailures
+	sort.Slice(r.failures, func(i, j int) bool { return r.failures[i].Node < r.failures[j].Node })
+	trace := newExecutionTrace(workers, time.Since(r.start), r.spans)
+	trace.Failures = r.failures
+	trace.Plan = p.trace
 	g.lastTrace = trace
 
 	if len(front.failures) > 0 {
@@ -424,8 +437,8 @@ func (g *PerFlowGraph) RunCtx(ctx context.Context, opts ...RunOption) (*Results,
 		return nil, fmt.Errorf("core: PerFlowGraph run canceled: %w", err)
 	}
 	res := newResults(g, trace)
-	if len(passFailures) > 0 {
-		res.degraded = degradedClosure(passFailures, succs, len(g.nodes))
+	if len(r.failures) > 0 {
+		res.degraded = degradedClosure(r.failures, d.succs, len(g.nodes))
 	}
 	return res, nil
 }
@@ -470,60 +483,9 @@ func degradedClosure(failures []PassFailure, succs [][]int, n int) []bool {
 	return degraded
 }
 
-// execNode gathers n's inputs, runs its pass, records an instrumentation
-// span and reports the outcome through finish. Alongside the real outputs
-// it prepares the degraded-mode fallback: one empty set per consumed
-// output port, over the environment of the first available input, so
-// downstream passes of a failed node receive well-formed (empty) data.
-func (g *PerFlowGraph) execNode(ctx context.Context, n *PNode, wid int, start time.Time,
-	cfg runConfig, consumers map[portKey]int, mu *sync.Mutex, spans *[]PassSpan,
-	finish func(*PNode, []*Set, error, []*Set)) {
-
-	fallback := func(in []*Set) []*Set { return g.fallbackFor(n, consumers, in) }
-
-	in := make([]*Set, len(n.inputs))
-	for i, ref := range n.inputs {
-		// The producer completed before n was enqueued (happens-before via
-		// the ready queue), so reading its outputs is race-free.
-		if ref.port >= len(ref.node.outputs) {
-			finish(n, nil, fmt.Errorf("input %d reads missing output port %d of %q",
-				i, ref.port, ref.node.Name()), fallback(nil))
-			return
-		}
-		s := ref.node.outputs[ref.port]
-		if s != nil && consumers[portKey{ref.node.id, ref.port}] > 1 {
-			s = s.Clone() // copy-on-fan-out: siblings get private V/E slices
-		}
-		in[i] = s
-	}
-
-	t0 := time.Since(start)
-	out, err := runPassBounded(ctx, cfg.passTimeout, n.pass, in)
-	t1 := time.Since(start)
-
-	span := PassSpan{
-		Node:     n.id,
-		Pass:     n.Name(),
-		Worker:   wid,
-		Start:    t0,
-		End:      t1,
-		InSizes:  setSizes(in),
-		OutSizes: setSizes(out),
-	}
-	if err != nil {
-		span.Err = err.Error()
-	}
-	mu.Lock()
-	*spans = append(*spans, span)
-	mu.Unlock()
-
-	finish(n, out, err, fallback(in))
-}
-
 // fallbackFor builds a failed node's degraded-mode substitute outputs: one
 // empty set per consumed output port, over the environment of the first
 // available input, so downstream passes receive well-formed (empty) data.
-// Shared by the classic scheduler and the planned executor.
 func (g *PerFlowGraph) fallbackFor(n *PNode, consumers map[portKey]int, in []*Set) []*Set {
 	ports := 1
 	for k := range consumers {
@@ -606,32 +568,26 @@ func runPass(ctx context.Context, p Pass, in []*Set) (out []*Set, err error) {
 
 // failFront makes fail-fast deterministic. Every node has a rank: its id,
 // raised to the rank of its latest predecessor, so ranks follow the order
-// nodes were added and never decrease along an edge. Once a node fails
-// fatally, units (single nodes, or planned stages ranked by their earliest
-// member) ranked above it are skipped or canceled, while units ranked at or
-// below it still run: one of them may fail too and then takes precedence.
-// The reported error is therefore the one a sequential run in rank order
-// would hit, whatever the timing. Methods are called under the run mutex.
+// nodes were added and never decrease along an edge; a stage ranks as its
+// earliest member. Once a node fails fatally, stages ranked above it are
+// skipped or canceled, while stages ranked at or below it still run: one of
+// them may fail too and then takes precedence. The reported error is
+// therefore the one a sequential run in rank order would hit, whatever the
+// timing. Methods are called under the run mutex.
 type failFront struct {
 	g        *PerFlowGraph
-	rank     []int          // built at the first fatal failure
-	min      int            // rank of the earliest fatal failure; -1 while none
-	failures map[int]error  // fatal errors by node id
-	inflight []inflightUnit // running units by lead node id; nil with one worker
+	order    []int // topological node order, for the rank table
+	stages   []*planStage
+	rank     []int                // node ranks, built at the first fatal failure
+	min      int                  // rank of the earliest fatal failure; -1 while none
+	failures map[int]error        // fatal errors by node id
+	cancel   []context.CancelFunc // running stages' cancel funcs by stage id; nil with one worker
 }
 
-// inflightUnit is one running unit: its cancel func (nil when the slot is
-// idle) and, for a planned stage, its members (nil for a single node,
-// which is its own lead).
-type inflightUnit struct {
-	cancel context.CancelFunc
-	nodes  []*PNode
-}
-
-func newFailFront(g *PerFlowGraph, workers int) *failFront {
-	f := &failFront{g: g, min: -1, failures: map[int]error{}}
+func newFailFront(g *PerFlowGraph, order []int, stages []*planStage, workers int) *failFront {
+	f := &failFront{g: g, order: order, stages: stages, min: -1, failures: map[int]error{}}
 	if workers > 1 {
-		f.inflight = make([]inflightUnit, len(g.nodes))
+		f.cancel = make([]context.CancelFunc, len(stages))
 	}
 	return f
 }
@@ -640,66 +596,55 @@ func newFailFront(g *PerFlowGraph, workers int) *failFront {
 func (f *failFront) rankOf(id int) int {
 	if f.rank == nil {
 		f.rank = make([]int, len(f.g.nodes))
-		for i := range f.rank {
-			f.rank[i] = -1
-		}
-		var visit func(n *PNode) int
-		visit = func(n *PNode) int {
-			if r := f.rank[n.id]; r >= 0 {
-				return r
-			}
-			r := n.id
+		for _, i := range f.order {
+			n, r := f.g.nodes[i], i
 			for _, ref := range n.inputs {
-				r = max(r, visit(ref.node))
+				r = max(r, f.rank[ref.node.id])
 			}
 			for _, d := range n.after {
-				r = max(r, visit(d))
+				r = max(r, f.rank[d.id])
 			}
-			f.rank[n.id] = r
-			return r
-		}
-		for _, n := range f.g.nodes {
-			visit(n)
+			f.rank[i] = r
 		}
 	}
 	return f.rank[id]
 }
 
-// unitRank ranks a unit by its earliest member.
-func (f *failFront) unitRank(lead int, nodes []*PNode) int {
-	r := f.rankOf(lead)
-	for _, n := range nodes {
+// stageRank ranks a stage by its earliest member.
+func (f *failFront) stageRank(st *planStage) int {
+	r := len(f.g.nodes)
+	for _, n := range st.nodes {
 		r = min(r, f.rankOf(n.id))
 	}
 	return r
 }
 
-// skip reports whether a unit about to start can no longer affect the
+// skip reports whether a stage about to start can no longer affect the
 // reported error.
-func (f *failFront) skip(lead int, nodes []*PNode) bool {
-	return f.min >= 0 && f.unitRank(lead, nodes) > f.min
+func (f *failFront) skip(st *planStage) bool {
+	return f.min >= 0 && f.stageRank(st) > f.min
 }
 
-// begin registers a starting unit and returns the context it runs under.
+// begin registers a starting stage and returns the context it runs under.
 // With one worker no sibling is ever in flight, so the run context serves.
-func (f *failFront) begin(ctx context.Context, lead int, nodes []*PNode) context.Context {
-	if f.inflight == nil {
+func (f *failFront) begin(ctx context.Context, st *planStage) context.Context {
+	if f.cancel == nil {
 		return ctx
 	}
-	uctx, cancel := context.WithCancel(ctx)
-	f.inflight[lead] = inflightUnit{cancel: cancel, nodes: nodes}
-	return uctx
+	sctx, cancel := context.WithCancel(ctx)
+	f.cancel[st.id] = cancel
+	return sctx
 }
 
-// end deregisters a finished unit and releases its context.
-func (f *failFront) end(lead int) {
-	if f.inflight != nil && f.inflight[lead].cancel != nil {
-		f.inflight[lead].cancel()
-		f.inflight[lead] = inflightUnit{}
+// end deregisters a finished stage and releases its context.
+func (f *failFront) end(st *planStage) {
+	if f.cancel != nil && f.cancel[st.id] != nil {
+		f.cancel[st.id]()
+		f.cancel[st.id] = nil
 	}
 }
 
-// fail records a fatal failure of node id and cancels the in-flight units
+// fail records a fatal failure of node id and cancels the in-flight stages
 // ranked above it.
 func (f *failFront) fail(id int, err error) {
 	f.failures[id] = err
@@ -708,9 +653,9 @@ func (f *failFront) fail(id int, err error) {
 		return
 	}
 	f.min = r
-	for lead, u := range f.inflight {
-		if u.cancel != nil && f.unitRank(lead, u.nodes) > r {
-			u.cancel()
+	for sid, cancel := range f.cancel {
+		if cancel != nil && f.stageRank(f.stages[sid]) > r {
+			cancel()
 		}
 	}
 }
@@ -756,64 +701,73 @@ func setSizes(sets []*Set) []int {
 	return out
 }
 
+// nodeDAG is the shape of a validated graph, as the planner and the
+// executor need it.
+type nodeDAG struct {
+	order     []int           // topological order, ready nodes taken in ascending id
+	succs     [][]int         // successors over data and ordering edges
+	indeg     []int           // in-degrees over the same edges
+	consumers map[portKey]int // consumer count per output port
+}
+
 // validate checks the graph shape before any pass runs: every input port
 // must be bound, declared arities must match the wiring, and the graph must
-// be acyclic (Kahn's algorithm). It returns the successor lists, in-degree
-// counts and per-port consumer counts the scheduler needs.
-func (g *PerFlowGraph) validate() (succs [][]int, indeg []int, consumers map[portKey]int, err error) {
-	succs = make([][]int, len(g.nodes))
-	indeg = make([]int, len(g.nodes))
-	consumers = make(map[portKey]int)
+// be acyclic (Kahn's algorithm).
+func (g *PerFlowGraph) validate() (*nodeDAG, error) {
+	total := len(g.nodes)
+	d := &nodeDAG{succs: make([][]int, total), indeg: make([]int, total), consumers: map[portKey]int{}}
 	for _, n := range g.nodes {
 		if want := n.pass.Arity(); want >= 0 && len(n.inputs) != want {
-			return nil, nil, nil, fmt.Errorf("core: pass %q expects %d inputs, got %d",
+			return nil, fmt.Errorf("core: pass %q expects %d inputs, got %d",
 				n.Name(), want, len(n.inputs))
 		}
 		for i, ref := range n.inputs {
 			if ref.node == nil {
-				return nil, nil, nil, fmt.Errorf("core: pass %q input %d is unconnected", n.Name(), i)
+				return nil, fmt.Errorf("core: pass %q input %d is unconnected", n.Name(), i)
 			}
-			succs[ref.node.id] = append(succs[ref.node.id], n.id)
-			indeg[n.id]++
-			consumers[portKey{ref.node.id, ref.port}]++
+			d.succs[ref.node.id] = append(d.succs[ref.node.id], n.id)
+			d.indeg[n.id]++
+			d.consumers[portKey{ref.node.id, ref.port}]++
 		}
 		for _, dep := range n.after {
-			succs[dep.id] = append(succs[dep.id], n.id)
-			indeg[n.id]++
+			d.succs[dep.id] = append(d.succs[dep.id], n.id)
+			d.indeg[n.id]++
 		}
 	}
-	// Kahn's algorithm on a scratch copy: any node never reaching in-degree
-	// zero sits on a cycle.
-	deg := append([]int(nil), indeg...)
-	queue := make([]int, 0, len(g.nodes))
-	for id, d := range deg {
-		if d == 0 {
-			queue = append(queue, id)
+	// Kahn's algorithm on a scratch copy, taking ready nodes in ascending id
+	// so the order is deterministic: any node never reaching in-degree zero
+	// sits on a cycle.
+	deg := append([]int(nil), d.indeg...)
+	var ready []int
+	for id, dg := range deg {
+		if dg == 0 {
+			ready = append(ready, id)
 		}
 	}
-	visited := 0
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		visited++
-		for _, s := range succs[id] {
+	d.order = make([]int, 0, total)
+	for len(ready) > 0 {
+		id := ready[0]
+		ready = ready[1:]
+		d.order = append(d.order, id)
+		for _, s := range d.succs[id] {
 			deg[s]--
 			if deg[s] == 0 {
-				queue = append(queue, s)
+				i, _ := slices.BinarySearch(ready, s)
+				ready = slices.Insert(ready, i, s)
 			}
 		}
 	}
-	if visited != len(g.nodes) {
+	if len(d.order) != total {
 		var cyc []string
-		for id, d := range deg {
-			if d > 0 {
+		for id, dg := range deg {
+			if dg > 0 {
 				cyc = append(cyc, g.nodes[id].Name())
 			}
 		}
-		return nil, nil, nil, fmt.Errorf("core: PerFlowGraph has a cycle involving: %s",
+		return nil, fmt.Errorf("core: PerFlowGraph has a cycle involving: %s",
 			strings.Join(cyc, ", "))
 	}
-	return succs, indeg, consumers, nil
+	return d, nil
 }
 
 // Trace returns the instrumentation record of the graph's most recent run

@@ -67,13 +67,18 @@ func TestConnectRejectsDoubleWiring(t *testing.T) {
 
 func TestValidateRejectsCycleUpfront(t *testing.T) {
 	g := NewPerFlowGraph()
-	a := g.AddPass(forwardPass("a"))
+	src := g.AddSource("src", AllVertices(fakeEnv("x")))
+	a := g.AddPass(PassFunc{PassName: "a", NumIn: 2, Fn: func(in []*Set) ([]*Set, error) { return in[:1], nil }})
 	b := g.AddPass(forwardPass("b"))
+	g.Connect(src, 0, a, 0)
+	g.Connect(b, 0, a, 1)
 	g.Connect(a, 0, b, 0)
-	g.Connect(b, 0, a, 0)
+	g.Chain(b, forwardPass("c"))
 	_, err := g.Run()
-	if err == nil || !strings.Contains(err.Error(), "cycle") {
-		t.Fatalf("cycle not rejected: %v", err)
+	// Every node Kahn's algorithm cannot reach is listed in id order: the
+	// cycle and what hangs off it, not the source feeding it.
+	if err == nil || err.Error() != "core: PerFlowGraph has a cycle involving: a, b, c" {
+		t.Fatalf("cycle not rejected as expected: %v", err)
 	}
 }
 
@@ -232,7 +237,7 @@ func TestFirstErrorDeterministic(t *testing.T) {
 
 // TestSlowEarlierFailureWins: the later-added sibling always fails first,
 // yet the earlier-added node still runs to its own failure and is the one
-// reported, under both executors. A context-aware pass added after the
+// reported, with fusion on and off. A context-aware pass added after the
 // failure is canceled rather than waited for.
 func TestSlowEarlierFailureWins(t *testing.T) {
 	for _, planned := range []bool{true, false} {

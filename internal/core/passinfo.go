@@ -14,8 +14,8 @@ import (
 // what traversal shape dominates its work — and the planner uses those
 // declarations to prove fusion legal and to choose traversals. Passes that
 // publish nothing (user-defined passes, side-effecting passes like report)
-// are perfectly fine: the planner gives each its own fallback stage that
-// executes exactly like the classic scheduler.
+// are perfectly fine: the planner gives each its own fallback stage, the
+// same stage it gives every pass with fusion off.
 
 // TraversalKind classifies a pass's dominant access pattern over its input
 // set and environment.

@@ -5,177 +5,79 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 )
 
-// Planned execution: the stage-level twin of RunCtx's node-level loop. The
-// same worker pool, ready queue, failure semantics and trace records apply,
-// but the schedulable unit is a compiled stage — a chain of fused passes or
-// one shared scan — so fan-out clones inside a stage disappear and a chain
-// pays one scheduling round-trip instead of one per pass.
+// Stage execution: the bodies of the units RunCtx schedules. Every run
+// executes a compiled plan, and a stage is one pass ("single" or
+// "fallback", the only kinds with fusion off), a chain of fused passes, or
+// one shared scan. Fan-out clones inside a stage disappear and a chain pays
+// one scheduling round-trip instead of one per pass.
 
-// runPlanned executes a compiled plan. nodeSuccs is the node-level
-// successor list from validate(), needed for the degraded closure.
-func (g *PerFlowGraph) runPlanned(ctx context.Context, cfg runConfig, workers int,
-	p *execPlan, nodeSuccs [][]int, consumers map[portKey]int) (*Results, error) {
+// planRun is the state one RunCtx shares across its workers.
+type planRun struct {
+	g     *PerFlowGraph
+	dag   *nodeDAG
+	p     *execPlan
+	cfg   runConfig
+	octx  context.Context // the caller's context, before the run's own cancel
+	start time.Time
 
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	var (
-		mu           sync.Mutex
-		queue        = make(chan *planStage, len(p.stages))
-		pending      int // stages enqueued and not yet settled
-		front        = newFailFront(g, workers)
-		passFailures []PassFailure
-		spans        = make([]PassSpan, 0, len(g.nodes))
-		indeg        = append([]int(nil), p.indeg...)
-	)
-	start := time.Now()
-
-	// Hoisted materializations build concurrently with the earliest stages;
-	// consumers block (inside the materials' sync.Once) only if they arrive
-	// before their artifact is ready.
-	var prewarm sync.WaitGroup
-	for _, mat := range p.mats {
-		prewarm.Add(1)
-		go func(mt *planMat) {
-			defer prewarm.Done()
-			reused := mt.m.prewarm(mt.kind)
-			mu.Lock()
-			mt.info.Reused = reused
-			mu.Unlock()
-		}(mat)
-	}
-
-	for i, d := range indeg {
-		if d == 0 {
-			queue <- p.stages[i]
-			pending++
-		}
-	}
-	settle := func() {
-		pending--
-		if pending == 0 {
-			close(queue)
-		}
-	}
-
-	// finishStage mirrors RunCtx's finish at stage granularity: a fatal
-	// failure releases nothing and cancels the in-flight stages ranked above
-	// it; otherwise the stage's completion releases newly-ready stages and
-	// drops hoisted materialization references.
-	finishStage := func(st *planStage, fatalNode int, fatalErr error) {
-		mu.Lock()
-		defer mu.Unlock()
-		front.end(st.nodes[0].id)
-		defer settle()
-		if fatalErr != nil {
-			front.fail(fatalNode, fatalErr)
-			return
-		}
-		for _, mat := range p.mats {
-			if mat.stages[st.id] {
-				mat.remaining--
-				if mat.remaining == 0 {
-					mat.info.ReleasedAfterStage = st.id
-				}
-			}
-		}
-		for _, sid := range p.succs[st.id] {
-			indeg[sid]--
-			if indeg[sid] == 0 {
-				queue <- p.stages[sid]
-				pending++
-			}
-		}
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(wid int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-rctx.Done():
-					return
-				case st, ok := <-queue:
-					if !ok || rctx.Err() != nil {
-						return
-					}
-					lead := st.nodes[0].id
-					mu.Lock()
-					if front.skip(lead, st.nodes) {
-						settle()
-						mu.Unlock()
-						continue
-					}
-					sctx := front.begin(rctx, lead, st.nodes)
-					mu.Unlock()
-					fatalNode, fatalErr := g.execStage(sctx, ctx, st, wid, start, cfg,
-						consumers, p, &mu, &spans, &passFailures)
-					finishStage(st, fatalNode, fatalErr)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	prewarm.Wait()
-
-	sort.Slice(passFailures, func(i, j int) bool { return passFailures[i].Node < passFailures[j].Node })
-	trace := newExecutionTrace(workers, time.Since(start), spans)
-	trace.Failures = passFailures
-	trace.Plan = p.trace
-	g.lastTrace = trace
-
-	if len(front.failures) > 0 {
-		id, err := front.first()
-		return nil, fmt.Errorf("core: pass %q: %w", g.nodes[id].Name(), err)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("core: PerFlowGraph run canceled: %w", err)
-	}
-	res := newResults(g, trace)
-	if len(passFailures) > 0 {
-		res.degraded = degradedClosure(passFailures, nodeSuccs, len(g.nodes))
-	}
-	return res, nil
+	mu       sync.Mutex // guards spans, failures and the scheduler state in RunCtx
+	spans    []PassSpan
+	failures []PassFailure // degraded mode: failures that did not stop the run
 }
 
-// isFatal mirrors RunCtx's finish: a member failure stops the run unless
-// degraded mode absorbs it; run-level cancellation is never absorbed. octx
-// is the caller's context (pre-cancel), distinguishing a pass's own
-// deadline from the run being torn down.
-func isFatal(cfg runConfig, octx context.Context, err error) bool {
-	return !cfg.continueOnFailure || errors.Is(err, context.Canceled) ||
-		(errors.Is(err, context.DeadlineExceeded) && octx.Err() != nil)
+// isFatal is the one fatal-vs-absorbed classifier: a pass failure stops the
+// run unless degraded mode absorbs it; run-level cancellation is never
+// absorbed. octx distinguishes a pass's own deadline from the run being
+// torn down.
+func (r *planRun) isFatal(err error) bool {
+	return !r.cfg.continueOnFailure || errors.Is(err, context.Canceled) ||
+		(errors.Is(err, context.DeadlineExceeded) && r.octx.Err() != nil)
 }
 
-// execStage runs one compiled stage on worker wid. Members execute in
-// order; a degraded member substitutes fallback outputs and the stage
-// continues, exactly like the classic scheduler. The returned fatal pair is
-// non-zero when the run must stop.
-func (g *PerFlowGraph) execStage(rctx, octx context.Context, st *planStage, wid int,
-	start time.Time, cfg runConfig, consumers map[portKey]int, p *execPlan,
-	mu *sync.Mutex, spans *[]PassSpan, passFailures *[]PassFailure) (int, error) {
+// absorb handles a failed member n. A fatal failure is left to the caller,
+// which stops the stage and reports it (absorb returns false). Otherwise
+// the failure is recorded as a PassFailure and n's outputs become its
+// degraded-mode fallback, built over in, so the stage and the graph go on.
+func (r *planRun) absorb(n *PNode, err error, in []*Set) bool {
+	if r.isFatal(err) {
+		return false
+	}
+	r.mu.Lock()
+	r.failures = append(r.failures, PassFailure{
+		Node: n.id, Pass: n.Name(), Reason: failureReason(err), Err: err.Error(),
+	})
+	r.mu.Unlock()
+	n.outputs = r.g.fallbackFor(n, r.dag.consumers, in)
+	return true
+}
 
+// record appends the span of one pass execution.
+func (r *planRun) record(n *PNode, wid int, t0, t1 time.Duration, in, out []*Set, err error) {
+	span := PassSpan{
+		Node: n.id, Pass: n.Name(), Worker: wid,
+		Start: t0, End: t1,
+		InSizes: setSizes(in), OutSizes: setSizes(out),
+	}
+	if err != nil {
+		span.Err = err.Error()
+	}
+	r.mu.Lock()
+	r.spans = append(r.spans, span)
+	r.mu.Unlock()
+}
+
+// execStage runs one compiled stage on worker wid under ctx. Members
+// execute in order; a degraded member substitutes fallback outputs and the
+// stage continues. The returned fatal pair is non-zero when the run must
+// stop.
+func (r *planRun) execStage(ctx context.Context, st *planStage, wid int) (int, error) {
 	if st.kind == "scan" {
-		return g.execScanStage(rctx, octx, st, wid, start, cfg, consumers, mu, spans, passFailures)
+		return r.execScanStage(ctx, st, wid)
 	}
-
-	degrade := func(n *PNode, err error, in []*Set) {
-		mu.Lock()
-		*passFailures = append(*passFailures, PassFailure{
-			Node: n.id, Pass: n.Name(), Reason: failureReason(err), Err: err.Error(),
-		})
-		mu.Unlock()
-		n.outputs = g.fallbackFor(n, consumers, in)
-		n.done = true
-	}
-
 	for _, n := range st.nodes {
 		in := make([]*Set, len(n.inputs))
 		inputErr := error(nil)
@@ -186,8 +88,8 @@ func (g *PerFlowGraph) execStage(rctx, octx context.Context, st *planStage, wid 
 				break
 			}
 			s := ref.node.outputs[ref.port]
-			if s != nil && consumers[portKey{ref.node.id, ref.port}] > 1 &&
-				p.stageOf[ref.node.id] != st.id {
+			if s != nil && r.dag.consumers[portKey{ref.node.id, ref.port}] > 1 &&
+				r.p.stageOf[ref.node.id] != st.id {
 				// Copy-on-fan-out for cross-stage consumers; in-stage
 				// consumers are pure by construction, so the clone is elided.
 				s = s.Clone()
@@ -195,38 +97,22 @@ func (g *PerFlowGraph) execStage(rctx, octx context.Context, st *planStage, wid 
 			in[i] = s
 		}
 		if inputErr != nil {
-			if isFatal(cfg, octx, inputErr) {
+			if !r.absorb(n, inputErr, nil) {
 				return n.id, inputErr
 			}
-			degrade(n, inputErr, nil)
 			continue
 		}
 
-		t0 := time.Since(start)
-		out, err := runPassBounded(rctx, cfg.passTimeout, n.pass, in)
-		t1 := time.Since(start)
-
-		span := PassSpan{
-			Node: n.id, Pass: n.Name(), Worker: wid,
-			Start: t0, End: t1,
-			InSizes: setSizes(in), OutSizes: setSizes(out),
-		}
+		t0 := time.Since(r.start)
+		out, err := runPassBounded(ctx, r.cfg.passTimeout, n.pass, in)
+		r.record(n, wid, t0, time.Since(r.start), in, out, err)
 		if err != nil {
-			span.Err = err.Error()
-		}
-		mu.Lock()
-		*spans = append(*spans, span)
-		mu.Unlock()
-
-		if err != nil {
-			if isFatal(cfg, octx, err) {
+			if !r.absorb(n, err, in) {
 				return n.id, err
 			}
-			degrade(n, err, in)
 			continue
 		}
 		n.outputs = out
-		n.done = true
 	}
 	return -1, nil
 }
@@ -236,30 +122,20 @@ func (g *PerFlowGraph) execStage(rctx, octx context.Context, st *planStage, wid 
 // own PassFailure — survivors restart with fresh kernels (kernels are
 // deterministic functions of their declared reads, so the rerun reproduces
 // the same annotations and outputs).
-func (g *PerFlowGraph) execScanStage(rctx, octx context.Context, st *planStage, wid int,
-	start time.Time, cfg runConfig, consumers map[portKey]int,
-	mu *sync.Mutex, spans *[]PassSpan, passFailures *[]PassFailure) (int, error) {
-
+func (r *planRun) execScanStage(ctx context.Context, st *planStage, wid int) (int, error) {
 	ref := st.nodes[0].inputs[0]
 	if ref.port >= len(ref.node.outputs) {
 		err := fmt.Errorf("input 0 reads missing output port %d of %q", ref.port, ref.node.Name())
-		if isFatal(cfg, octx, err) {
-			return st.nodes[0].id, err
-		}
 		for _, n := range st.nodes {
-			mu.Lock()
-			*passFailures = append(*passFailures, PassFailure{
-				Node: n.id, Pass: n.Name(), Reason: FailureError, Err: err.Error(),
-			})
-			mu.Unlock()
-			n.outputs = g.fallbackFor(n, consumers, nil)
-			n.done = true
+			if !r.absorb(n, err, nil) {
+				return n.id, err
+			}
 		}
 		return -1, nil
 	}
 	// The group covers every consumer of this port and every member is
 	// pure, so all kernels read the producer's set directly — the fan-out
-	// clones the classic scheduler would make are elided.
+	// clones fusion-off execution would make are elided.
 	in := ref.node.outputs[ref.port]
 	inSlice := []*Set{in}
 
@@ -276,32 +152,18 @@ func (g *PerFlowGraph) execScanStage(rctx, octx context.Context, st *planStage, 
 		members[i] = &member{n: n, info: info}
 	}
 
-	record := func(m *member, t0, t1 time.Duration, err error) {
-		span := PassSpan{
-			Node: m.n.id, Pass: m.n.Name(), Worker: wid,
-			Start: t0, End: t1,
-			InSizes: setSizes(inSlice), OutSizes: setSizes(m.out),
-		}
-		if err != nil {
-			span.Err = err.Error()
-		}
-		mu.Lock()
-		*spans = append(*spans, span)
-		mu.Unlock()
-	}
-
 	active := members
-	t0 := time.Since(start)
+	t0 := time.Since(r.start)
 	for len(active) > 0 {
 		cur := 0
 		panicked := false
 		err := func() (err error) {
 			defer func() {
-				if r := recover(); r != nil {
+				if rec := recover(); rec != nil {
 					buf := make([]byte, 8<<10)
 					buf = buf[:runtime.Stack(buf, false)]
 					panicked = true
-					err = &PassPanicError{Pass: active[cur].n.Name(), Value: r, Stack: string(buf)}
+					err = &PassPanicError{Pass: active[cur].n.Name(), Value: rec, Stack: string(buf)}
 				}
 			}()
 			for j, m := range active {
@@ -310,8 +172,8 @@ func (g *PerFlowGraph) execScanStage(rctx, octx context.Context, st *planStage, 
 			}
 			if in != nil {
 				for i, vid := range in.V {
-					if i&1023 == 0 && rctx.Err() != nil {
-						return rctx.Err()
+					if i&1023 == 0 && ctx.Err() != nil {
+						return ctx.Err()
 					}
 					for j, m := range active {
 						cur = j
@@ -333,17 +195,10 @@ func (g *PerFlowGraph) execScanStage(rctx, octx context.Context, st *planStage, 
 			return active[cur].n.id, err
 		}
 		bad := active[cur]
-		if isFatal(cfg, octx, err) {
+		r.record(bad.n, wid, t0, time.Since(r.start), inSlice, nil, err)
+		if !r.absorb(bad.n, err, inSlice) {
 			return bad.n.id, err
 		}
-		record(bad, t0, time.Since(start), err)
-		mu.Lock()
-		*passFailures = append(*passFailures, PassFailure{
-			Node: bad.n.id, Pass: bad.n.Name(), Reason: failureReason(err), Err: err.Error(),
-		})
-		mu.Unlock()
-		bad.n.outputs = g.fallbackFor(bad.n, consumers, inSlice)
-		bad.n.done = true
 		// Restart survivors from scratch: partial kernel state is unusable,
 		// and a full rerun reproduces identical results.
 		next := active[:0:0]
@@ -354,28 +209,19 @@ func (g *PerFlowGraph) execScanStage(rctx, octx context.Context, st *planStage, 
 			}
 		}
 		active = next
-		t0 = time.Since(start)
+		t0 = time.Since(r.start)
 	}
 
-	t1 := time.Since(start)
+	t1 := time.Since(r.start)
 	for _, m := range active {
+		r.record(m.n, wid, t0, t1, inSlice, m.out, m.err)
 		if m.err != nil {
-			record(m, t0, t1, m.err)
-			if isFatal(cfg, octx, m.err) {
+			if !r.absorb(m.n, m.err, inSlice) {
 				return m.n.id, m.err
 			}
-			mu.Lock()
-			*passFailures = append(*passFailures, PassFailure{
-				Node: m.n.id, Pass: m.n.Name(), Reason: failureReason(m.err), Err: m.err.Error(),
-			})
-			mu.Unlock()
-			m.n.outputs = g.fallbackFor(m.n, consumers, inSlice)
-			m.n.done = true
 			continue
 		}
-		record(m, t0, t1, nil)
 		m.n.outputs = m.out
-		m.n.done = true
 	}
 	return -1, nil
 }

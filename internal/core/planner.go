@@ -29,9 +29,11 @@ import (
 //     last consumer finishes.
 //
 // Undescribed passes — user passes, side-effecting passes like report —
-// fall back to one single-node stage each, executing exactly as the classic
-// scheduler would. Reports are byte-identical with planning on or off; the
-// plan only changes scheduling, never values.
+// fall back to one single-node stage each. With fusion off
+// (WithPlanning(false)) every pass gets such a stage and the stage DAG is
+// the node DAG; the executor is the same either way. Reports are
+// byte-identical with fusion on or off; the plan only changes scheduling,
+// never values.
 
 // planStage is one unit of planned execution: its member nodes run
 // sequentially on one worker, in topological order.
@@ -55,44 +57,55 @@ type planMat struct {
 type execPlan struct {
 	stages  []*planStage
 	stageOf []int   // node id -> stage id
-	succs   [][]int // stage DAG, deduplicated
+	succs   [][]int // stage DAG: deduplicated, or the node DAG with fusion off
 	indeg   []int
 	mats    []*planMat
-	trace   *PlanTrace
+	trace   *PlanTrace // nil with fusion off
 }
 
-// buildPlan compiles the graph into an execution plan. consumers is the
-// validated per-port consumer count. The plan is deterministic: stages are
-// formed in topological node order with ties broken by insertion id.
-func (g *PerFlowGraph) buildPlan(cfg runConfig, consumers map[portKey]int) *execPlan {
+// buildPlan compiles the validated graph d into an execution plan. The
+// plan is deterministic: stages are formed in topological node order with
+// ties broken by insertion id.
+func (g *PerFlowGraph) buildPlan(cfg runConfig, d *nodeDAG) *execPlan {
 	total := len(g.nodes)
-
-	// Topological order over data + after edges, ready nodes in id order.
-	preds := make([][]int, total)
-	for _, n := range g.nodes {
-		for _, ref := range n.inputs {
-			preds[n.id] = append(preds[n.id], ref.node.id)
-		}
-		for _, d := range n.after {
-			preds[n.id] = append(preds[n.id], d.id)
-		}
-	}
-	order := topoOrderByID(preds)
-	if order == nil {
-		return nil // cyclic; validate() already rejected this, but be safe
-	}
-
 	infos := make([]PassInfo, total)
 	described := make([]bool, total)
 	for _, n := range g.nodes {
 		infos[n.id], described[n.id] = passInfo(n.pass)
 	}
+	soloKind := func(id int) string {
+		if described[id] {
+			return "single"
+		}
+		return "fallback"
+	}
 
+	if cfg.noPlan {
+		// Fusion off: stage i is node i alone, so the stage DAG is the node
+		// DAG. Nothing is hoisted and no decision record is kept.
+		p := &execPlan{stageOf: make([]int, total), succs: d.succs, indeg: d.indeg}
+		for _, n := range g.nodes {
+			p.stages = append(p.stages, &planStage{id: n.id, kind: soloKind(n.id), nodes: []*PNode{n}})
+			p.stageOf[n.id] = n.id
+		}
+		return p
+	}
+
+	// Predecessors over data and ordering edges.
+	preds := make([][]int, total)
+	for _, n := range g.nodes {
+		for _, ref := range n.inputs {
+			preds[n.id] = append(preds[n.id], ref.node.id)
+		}
+		for _, dep := range n.after {
+			preds[n.id] = append(preds[n.id], dep.id)
+		}
+	}
 	// Static environment inference: seeds anchor it, project-style passes
 	// override it, environment-deriving passes and undescribed passes
 	// erase it.
 	envs := make([]*pag.PAG, total)
-	for _, id := range order {
+	for _, id := range d.order {
 		n := g.nodes[id]
 		switch {
 		case len(n.inputs) == 0:
@@ -183,7 +196,7 @@ func (g *PerFlowGraph) buildPlan(cfg runConfig, consumers map[portKey]int) *exec
 		return group
 	}
 
-	for _, id := range order {
+	for _, id := range d.order {
 		v := g.nodes[id]
 		if p.stageOf[id] != -1 {
 			continue
@@ -223,11 +236,7 @@ func (g *PerFlowGraph) buildPlan(cfg runConfig, consumers map[portKey]int) *exec
 				}
 			}
 		}
-		if described[id] {
-			newStage("single", v)
-		} else {
-			newStage("fallback", v)
-		}
+		newStage(soloKind(id), v)
 	}
 
 	// Stage DAG: quotient of the node DAG, deduplicated.
@@ -258,7 +267,7 @@ func (g *PerFlowGraph) buildPlan(cfg runConfig, consumers map[portKey]int) *exec
 		inScan := p.stages[p.stageOf[n.id]].kind == "scan"
 		for _, ref := range n.inputs {
 			if (inScan || p.stageOf[ref.node.id] == p.stageOf[n.id]) &&
-				consumers[portKey{ref.node.id, ref.port}] > 1 {
+				d.consumers[portKey{ref.node.id, ref.port}] > 1 {
 				p.trace.ClonesElided++
 			}
 		}
@@ -338,39 +347,4 @@ func envDesc(env *pag.PAG) string {
 		view = "parallel"
 	}
 	return fmt.Sprintf("pag(%s,%dr)", view, env.NRanks)
-}
-
-// topoOrderByID returns a topological order of 0..n-1 under preds with
-// ready vertices taken in ascending id, or nil on a cycle. Graphs are
-// small (tens of nodes), so the quadratic scan is cheaper than a heap.
-func topoOrderByID(preds [][]int) []int {
-	n := len(preds)
-	indeg := make([]int, n)
-	succ := make([][]int, n)
-	for id, ps := range preds {
-		indeg[id] = len(ps)
-		for _, p := range ps {
-			succ[p] = append(succ[p], id)
-		}
-	}
-	order := make([]int, 0, n)
-	done := make([]bool, n)
-	for len(order) < n {
-		picked := -1
-		for id := 0; id < n; id++ {
-			if !done[id] && indeg[id] == 0 {
-				picked = id
-				break
-			}
-		}
-		if picked < 0 {
-			return nil
-		}
-		done[picked] = true
-		order = append(order, picked)
-		for _, s := range succ[picked] {
-			indeg[s]--
-		}
-	}
-	return order
 }

@@ -17,11 +17,11 @@ func planOf(g *PerFlowGraph, opts ...RunOption) *execPlan {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	_, _, consumers, err := g.validate()
+	d, err := g.validate()
 	if err != nil {
 		return nil
 	}
-	return g.buildPlan(cfg, consumers)
+	return g.buildPlan(cfg, d)
 }
 
 func stageKinds(p *execPlan) []string {
@@ -262,8 +262,10 @@ func TestPlannedMatchesUnplannedRandomGraphs(t *testing.T) {
 }
 
 // randomAnalysisGraph wires 4-10 random described passes over env. Writer
-// passes (imbalance, breakdown, wait-state) are serialized with After edges
-// per the engine's annotation contract; every node is returned as a sink.
+// passes (imbalance, breakdown, wait-state) annotate the shared environment,
+// so per the engine's annotation contract each writer runs After every node
+// added before it and every later node runs After each earlier writer: no
+// reader can overlap a writer. Every node is returned as a sink.
 func randomAnalysisGraph(rng *rand.Rand, env *pag.PAG) (*PerFlowGraph, []*PNode) {
 	g := NewPerFlowGraph()
 	src := g.AddSource("pag", AllVertices(env))
@@ -306,12 +308,47 @@ func randomAnalysisGraph(rng *rand.Rand, env *pag.PAG) (*PerFlowGraph, []*PNode)
 			g.Connect(pick(), 0, nd, 1)
 		}
 		if isWriter {
-			g.After(nd, writers...)
+			g.After(nd, nodes...)
 			writers = append(writers, nd)
+		} else {
+			g.After(nd, writers...)
 		}
 		nodes = append(nodes, nd)
 	}
 	return g, nodes
+}
+
+// TestFusionOffPlanIsNodeDAG pins what WithPlanning(false) compiles to in
+// the one executor: one single or fallback stage per node, stage i holding
+// node i, and stage successor lists equal to the node successor lists.
+func TestFusionOffPlanIsNodeDAG(t *testing.T) {
+	res := collect(t, analysisProgram(t), 8)
+	for trial := 0; trial < 25; trial++ {
+		rng := rand.New(rand.NewSource(int64(1000 + trial)))
+		g, _ := randomAnalysisGraph(rng, res.TopDown)
+		d, err := g.validate()
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		p := planOf(g, WithPlanning(false))
+		if len(p.stages) != len(g.nodes) {
+			t.Fatalf("trial %d: %d stages for %d nodes", trial, len(p.stages), len(g.nodes))
+		}
+		for i, st := range p.stages {
+			if st.id != i || len(st.nodes) != 1 || st.nodes[0] != g.nodes[i] {
+				t.Fatalf("trial %d: stage %d = %+v, want node %d alone", trial, i, st, i)
+			}
+			if st.kind != "single" && st.kind != "fallback" {
+				t.Errorf("trial %d: stage %d kind %q, want single or fallback", trial, i, st.kind)
+			}
+		}
+		if !reflect.DeepEqual(p.succs, d.succs) {
+			t.Errorf("trial %d: stage succs %v != node succs %v", trial, p.succs, d.succs)
+		}
+		if p.trace != nil || len(p.mats) != 0 {
+			t.Errorf("trial %d: fusion-off plan kept a decision record or hoisted materializations", trial)
+		}
+	}
 }
 
 // snapshotOutputs flattens every node's output sets into comparable

@@ -134,12 +134,12 @@ func WithContinueOnFailure() RunOption { return core.WithContinueOnFailure() }
 // WithPassTimeout bounds each pass of a PerFlowGraph run.
 func WithPassTimeout(d time.Duration) RunOption { return core.WithPassTimeout(d) }
 
-// WithPlanning toggles the pass-plan compiler for one PerFlowGraph run
-// (default on): the whole graph is compiled into an execution plan before
-// any pass runs — sibling scans fuse into one traversal, pure chains
-// collapse into one stage, shared structure artifacts are hoisted — with
-// byte-identical results either way. WithPlanning(false) forces the classic
-// per-node scheduler (the pflow -noplan flag).
+// WithPlanning toggles pass fusion for one PerFlowGraph run (default on).
+// Every run is compiled into an execution plan before any pass runs; with
+// fusion on, sibling scans fuse into one traversal, pure chains collapse
+// into one stage and shared structure artifacts are hoisted.
+// WithPlanning(false) turns fusion off in the same executor, one stage per
+// pass (the pflow -noplan flag). Results are byte-identical either way.
 func WithPlanning(on bool) RunOption { return core.WithPlanning(on) }
 
 // WriteTrace renders an execution trace as an aligned text table; a nil
@@ -195,8 +195,8 @@ type PerFlow struct {
 	// recent paradigm run (nil before the first one). Render it with
 	// WriteTrace — the cmd/pflow -trace flag does.
 	LastTrace *ExecutionTrace
-	// NoPlan disables the pass-plan compiler for the handle's paradigm runs,
-	// forcing the classic per-node scheduler (the pflow -noplan flag).
+	// NoPlan turns pass fusion off for the handle's paradigm runs: the one
+	// executor runs every pass as its own stage (the pflow -noplan flag).
 	// Results are byte-identical either way.
 	NoPlan bool
 }

@@ -41,9 +41,9 @@ type AnalysisRequest struct {
 	// (the CLI's -j). It does not change results, so it is excluded from
 	// the cache key.
 	Parallelism int `json:"parallelism,omitempty"`
-	// NoPlan disables the pass-plan compiler for the request's analysis
-	// runs, forcing the classic per-node scheduler (the CLI's -noplan).
-	// Planned and unplanned runs produce byte-identical reports, so, like
+	// NoPlan turns pass fusion off for the request's analysis runs: the
+	// one executor runs every pass as its own stage (the CLI's -noplan).
+	// Fused and unfused runs produce byte-identical reports, so, like
 	// Parallelism, it is excluded from the cache key.
 	NoPlan bool `json:"no_plan,omitempty"`
 	// Predict appends a "-- static prediction --" section to the report:
