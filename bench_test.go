@@ -280,6 +280,24 @@ func BenchmarkPassContentionMatch(b *testing.B) {
 	}
 }
 
+// BenchmarkPassContention measures the contention-detection pass as a
+// request runs it: core.Contention over every vertex of the Vite parallel
+// view (8 ranks × 4 threads), one anchored match per vertex.
+func BenchmarkPassContention(b *testing.B) {
+	run, err := mpisim.Run(workloads.Vite(false), mpisim.Config{NRanks: 8, Threads: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := core.AllVertices(pag.BuildParallel(run))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if core.Contention(all).Len() == 0 {
+			b.Fatal("no contention found")
+		}
+	}
+}
+
 // BenchmarkAblationHybridVsDynamic quantifies the §3.2 claim (static
 // extraction cuts runtime overhead) as a benchmark.
 func BenchmarkAblationHybridVsDynamic(b *testing.B) {
@@ -495,8 +513,7 @@ func BenchmarkPlannedVsUnplanned(b *testing.B) {
 
 // profilerFanoutGraph wires an mpiP-style profile: one MPI filter feeding
 // six sibling per-vertex analyses. Annotation-writing passes are serialized
-// with After edges per the engine's contract; the plan compiler fuses the
-// whole sibling group into one shared sweep.
+// with After edges per the engine's contract, writers before readers.
 func profilerFanoutGraph(env *pag.PAG) *core.PerFlowGraph {
 	g := core.NewPerFlowGraph()
 	src := g.AddSource("pag", core.AllVertices(env))
@@ -512,8 +529,13 @@ func profilerFanoutGraph(env *pag.PAG) *core.PerFlowGraph {
 			panic(err)
 		}
 	}
+	// Breakdown and WaitState write vertex metrics that the hotspot passes
+	// read, so every writer is ordered before every reader.
 	g.After(bd, imb)
 	g.After(ws, bd)
+	for _, hot := range []*core.PNode{hotE, hotT, hotW} {
+		g.After(hot, ws)
+	}
 	return g
 }
 

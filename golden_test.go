@@ -8,7 +8,7 @@ package perflow_test
 // against incidental whitespace drift. Refactors of the serve/run path
 // cannot silently change analysis results without failing this matrix.
 //
-// Regenerate with: go test -run TestGoldenReports -update .
+// Regenerate with: go test -run 'TestGoldenReports|TestGoldenContention' -update .
 
 import (
 	"bytes"
@@ -62,9 +62,14 @@ func goldenCase(t *testing.T, name string, ranks int, load func(pf *perflow.PerF
 			}
 		}
 	}
-	got := normalizeReport(report.String())
+	checkGolden(t, filepath.Join("testdata", "golden", fmt.Sprintf("%s_r%d.golden", name, ranks)), report.String())
+}
 
-	path := filepath.Join("testdata", "golden", fmt.Sprintf("%s_r%d.golden", name, ranks))
+// checkGolden compares a report against its snapshot at path, or rewrites
+// the snapshot under -update.
+func checkGolden(t *testing.T, path, report string) {
+	t.Helper()
+	got := normalizeReport(report)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -80,6 +85,48 @@ func goldenCase(t *testing.T, name string, ranks int, load func(pf *perflow.PerF
 	}
 	if got != string(want) {
 		t.Errorf("report drifted from %s\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
+	}
+}
+
+// TestGoldenContention pins the contention-detection report (paper §5.5,
+// Figure 16) on the parallel view of the two threaded programs: the Vite
+// model and the threads_contention DSL example, at 8 ranks × 4 threads.
+// The report lists every vertex of every embedding, so it also pins which
+// embeddings the per-anchor cap keeps.
+func TestGoldenContention(t *testing.T) {
+	const ranks, threads = 8, 4
+	cases := []struct {
+		name string
+		load func(pf *perflow.PerFlow, opts perflow.RunOptions) (*perflow.Result, error)
+	}{
+		{"vite", func(pf *perflow.PerFlow, opts perflow.RunOptions) (*perflow.Result, error) {
+			return pf.RunWorkload("vite", opts)
+		}},
+		{"threads_contention", func(pf *perflow.PerFlow, opts perflow.RunOptions) (*perflow.Result, error) {
+			f, err := os.Open(filepath.Join("examples", "dsl", "threads_contention.pfl"))
+			if err != nil {
+				return nil, err
+			}
+			defer f.Close()
+			return pf.RunDSL(f, opts)
+		}},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			pf := perflow.New()
+			res, err := c.load(pf, perflow.RunOptions{Ranks: ranks, Threads: threads})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var report bytes.Buffer
+			if _, err := pf.AnalyzeCtx(context.Background(), res, nil, "contention", 10, &report); err != nil {
+				t.Fatalf("analyze contention: %v", err)
+			}
+			checkGolden(t, filepath.Join("testdata", "golden",
+				fmt.Sprintf("contention_%s_r%d_t%d.golden", c.name, ranks, threads)), report.String())
+		})
 	}
 }
 

@@ -169,25 +169,95 @@ func TestLCABitsetCachedQueriesConsistent(t *testing.T) {
 }
 
 func TestMatchLabelIndexEquivalence(t *testing.T) {
-	// The label-index candidate path and the naive full-scan path must
-	// produce identical embeddings, in identical order.
-	for seed := int64(1); seed <= 5; seed++ {
+	// The default matcher (label index, adjacency-driven candidates) and
+	// the naive full-scan path must produce identical embeddings, in
+	// identical order — the order decides which embeddings survive
+	// MaxEmbeddings. Data graphs have cycles, self-loops and parallel
+	// edges; queries are connected, 2-5 vertices, with wildcard vertices
+	// and edges pointing both ways; runs are unanchored and anchored on
+	// every data vertex, under every cap.
+	caps := []int{0, 1, 3, 64, 256}
+	for seed := int64(1); seed <= 60; seed++ {
 		rng := rand.New(rand.NewSource(100 + seed))
-		data := randomLabeledDAG(rng, 20+rng.Intn(30), 3, 0.25)
-		q := New(3, 3)
-		q.AddVertex("a", rng.Intn(3))
-		q.AddVertex("b", rng.Intn(3))
-		q.AddVertex("c", WildcardLabel)
-		q.AddEdge(0, 1, WildcardLabel)
-		q.AddEdge(1, 2, WildcardLabel)
-
-		indexed := MatchSubgraph(data, q, MatchOptions{})
-		naive := MatchSubgraph(data, q, MatchOptions{DisableLabelPruning: true})
-		if !reflect.DeepEqual(indexed, naive) {
-			t.Fatalf("seed %d: indexed and naive matching disagree: %d vs %d embeddings",
-				seed, len(indexed), len(naive))
+		data := randomLabeledMultigraph(rng, 6+rng.Intn(18), 2)
+		q := randomConnectedQuery(rng, 2+rng.Intn(4), 2)
+		for _, max := range caps {
+			check := func(opts MatchOptions) {
+				opts.MaxEmbeddings = max
+				indexed := MatchSubgraph(data, q, opts)
+				opts.DisableLabelPruning = true
+				naive := MatchSubgraph(data, q, opts)
+				if !reflect.DeepEqual(indexed, naive) {
+					t.Fatalf("seed %d max %d anchored=%v anchor %d: indexed and naive matching disagree: %d vs %d embeddings",
+						seed, max, opts.Anchored, opts.Anchor, len(indexed), len(naive))
+				}
+			}
+			check(MatchOptions{})
+			for a := 0; a < data.NumVertices(); a++ {
+				check(MatchOptions{Anchor: VertexID(a), Anchored: true})
+			}
 		}
 	}
+}
+
+// randomLabeledMultigraph returns a directed graph on n vertices with
+// labels in [0, nlabels): forward and backward edges (so cycles), a few
+// self-loops, and duplicated parallel edges.
+func randomLabeledMultigraph(rng *rand.Rand, n, nlabels int) *Graph {
+	g := New(n, n*4)
+	for i := 0; i < n; i++ {
+		g.AddVertex(fmt.Sprintf("v%d", i), rng.Intn(nlabels))
+	}
+	for e := n * (1 + rng.Intn(6)); e >= 0; e-- {
+		src, dst := VertexID(rng.Intn(n)), VertexID(rng.Intn(n))
+		label := rng.Intn(2)
+		g.AddEdge(src, dst, label)
+		if rng.Intn(4) == 0 {
+			g.AddEdge(src, dst, rng.Intn(2))
+		}
+	}
+	for i := rng.Intn(3); i > 0; i-- {
+		v := VertexID(rng.Intn(n))
+		g.AddEdge(v, v, rng.Intn(2))
+	}
+	return g
+}
+
+// randomConnectedQuery returns a connected query on n vertices without
+// self-loops or parallel edges: each vertex after the first attaches to a
+// random earlier one in a random direction, plus a few extra edges. About
+// half the vertex and edge labels are WildcardLabel.
+func randomConnectedQuery(rng *rand.Rand, n, nlabels int) *Graph {
+	label := func(k int) int {
+		if rng.Intn(2) == 0 {
+			return WildcardLabel
+		}
+		return rng.Intn(k)
+	}
+	q := New(n, 2*n)
+	for i := 0; i < n; i++ {
+		q.AddVertex(fmt.Sprintf("q%d", i), label(nlabels))
+	}
+	linked := map[[2]VertexID]bool{}
+	link := func(a, b VertexID) {
+		if a == b || linked[[2]VertexID{a, b}] || linked[[2]VertexID{b, a}] {
+			return
+		}
+		linked[[2]VertexID{a, b}] = true
+		q.AddEdge(a, b, label(2))
+	}
+	for i := 1; i < n; i++ {
+		j := VertexID(rng.Intn(i))
+		if rng.Intn(2) == 0 {
+			link(VertexID(i), j)
+		} else {
+			link(j, VertexID(i))
+		}
+	}
+	for i := rng.Intn(n); i > 0; i-- {
+		link(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)))
+	}
+	return q
 }
 
 func TestFrozenAdjacencyAndIndexes(t *testing.T) {
