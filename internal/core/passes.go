@@ -258,9 +258,10 @@ func CausalPass() Pass {
 // ---- D: contention detection (Listing 6) ----
 
 // Contention searches the parallel view for embeddings of the resource-
-// contention pattern around each vertex of the input set (anchored on the
-// resources adjacent to those vertices, or globally when the set is empty).
-// The output contains the union of embedding vertices and edges.
+// contention pattern around each vertex of the input set: query vertex 0,
+// a contributor, is anchored on each input vertex in turn (at most 64
+// embeddings each). An empty set searches globally (at most 256). The
+// output contains the union of embedding vertices and edges.
 func Contention(v *Set) *Set {
 	pattern := pag.ContentionPattern()
 	out := NewSet(v.PAG)
@@ -268,8 +269,6 @@ func Contention(v *Set) *Set {
 	if len(v.V) == 0 {
 		embs = graph.MatchSubgraph(v.PAG.G, pattern, graph.MatchOptions{MaxEmbeddings: 256})
 	} else {
-		// Anchor the pattern's first contributor (query vertex 0) on each
-		// input vertex in turn.
 		for _, vid := range v.V {
 			embs = append(embs, graph.MatchSubgraph(v.PAG.G, pattern, graph.MatchOptions{
 				Anchor: vid, Anchored: true, MaxEmbeddings: 64,

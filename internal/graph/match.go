@@ -1,13 +1,19 @@
 package graph
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Subgraph matching (paper §4.3.2 D): find all embeddings of a small query
 // pattern inside a large data graph. The contention-detection pass expresses
 // resource-contention shapes as patterns and searches the parallel view of
 // the PAG for their embeddings. The implementation is a VF2-style
-// backtracking search with candidate ordering by query connectivity and
-// optional label-based pruning (the ablation benchmark toggles pruning).
+// backtracking search with candidate ordering by query connectivity. With
+// pruning on (the default; the ablation benchmark toggles it), the search
+// grows outward from placed vertices: a query vertex's candidates are the
+// data neighbours of its placed query neighbour's match, so an anchored
+// match costs the anchor's neighbourhood, not the whole graph.
 
 // MatchOptions controls subgraph matching.
 type MatchOptions struct {
@@ -25,8 +31,9 @@ type MatchOptions struct {
 	// suspicious vertex.
 	Anchor   VertexID
 	Anchored bool
-	// DisableLabelPruning turns off candidate-set pruning by label, forcing
-	// the naive search. Exists only for the ablation benchmark.
+	// DisableLabelPruning turns off candidate-set pruning (label index and
+	// neighbour-driven candidates), forcing the naive full-scan search.
+	// Exists for the ablation benchmark and as the differential oracle.
 	DisableLabelPruning bool
 }
 
@@ -66,27 +73,37 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 	m := &matcher{
 		data: data, query: query,
 		vcompat: vcompat, ecompat: ecompat,
-		max:     opts.MaxEmbeddings,
-		assign:  make([]VertexID, nq),
-		usedDat: make(map[VertexID]bool, nq),
+		max:    opts.MaxEmbeddings,
+		assign: make([]VertexID, nq),
+		order:  matchOrder(query),
+		cands:  make([][]VertexID, nq),
+		via:    make([]VertexID, nq),
+		viaOut: make([]bool, nq),
 	}
 	for i := range m.assign {
 		m.assign[i] = NoVertex
+		m.via[i] = NoVertex
 	}
-	m.order = matchOrder(query)
 
-	// Candidate sets per query vertex: drawn from the frozen label index
-	// (pruning with the default compatibility), filtered by a full scan for
-	// custom compatibility or wildcard labels, or all data vertices (naive).
-	// The anchor restricts query vertex 0. All paths enumerate candidates in
+	// Candidates for a query vertex with an already-placed query neighbour
+	// come from that neighbour's frozen adjacency at search time (see
+	// adjacentCands), so only the others — the first vertex of the order
+	// and the first of each disconnected query component — get an up-front
+	// list: the anchor, the frozen label index (default compatibility),
+	// or a full scan for custom compatibility or wildcard labels.
+	// DisableLabelPruning forces the naive path: every vertex is a
+	// candidate for every query vertex. All paths enumerate candidates in
 	// ascending data-vertex ID, so the embedding order is identical across
 	// them.
-	var fz *Frozen
 	if !opts.DisableLabelPruning {
-		fz = data.Frozen()
+		m.fz = data.Frozen()
+		m.scratch = make([][]VertexID, nq)
+		m.linkVia()
 	}
-	m.cands = make([][]VertexID, nq)
 	for _, q := range m.order {
+		if m.via[q] != NoVertex {
+			continue
+		}
 		qv := query.Vertex(q)
 		if q == 0 && opts.Anchored && data.HasVertex(opts.Anchor) {
 			if vcompat(qv, data.Vertex(opts.Anchor)) {
@@ -105,10 +122,10 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 		if opts.VertexCompat == nil && qv.Label != WildcardLabel {
 			// Fast path: the label index already holds exactly the
 			// compatible vertices (ID-ascending); only degrees need checking.
-			byLabel := fz.VerticesWithLabel(qv.Label)
+			byLabel := m.fz.VerticesWithLabel(qv.Label)
 			cands := make([]VertexID, 0, len(byLabel))
 			for _, dv := range byLabel {
-				if fz.OutDegree(dv) >= query.OutDegree(q) && fz.InDegree(dv) >= query.InDegree(q) {
+				if m.degreeFits(q, dv) {
 					cands = append(cands, dv)
 				}
 			}
@@ -116,9 +133,7 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 			continue
 		}
 		m.cands[q] = data.VerticesWhere(func(dv *Vertex) bool {
-			return vcompat(qv, dv) &&
-				data.OutDegree(dv.ID) >= query.OutDegree(q) &&
-				data.InDegree(dv.ID) >= query.InDegree(q)
+			return vcompat(qv, dv) && m.degreeFits(q, dv.ID)
 		})
 	}
 	m.search(0)
@@ -127,14 +142,77 @@ func MatchSubgraph(data, query *Graph, opts MatchOptions) []Embedding {
 
 type matcher struct {
 	data, query *Graph
+	fz          *Frozen // nil on the naive (DisableLabelPruning) path
 	vcompat     func(qv, dv *Vertex) bool
 	ecompat     func(qe, de *Edge) bool
 	max         int
 	order       []VertexID
-	cands       [][]VertexID
-	assign      []VertexID
-	usedDat     map[VertexID]bool
-	results     []Embedding
+	// cands holds the up-front candidate list of each query vertex without
+	// a via neighbour.
+	cands [][]VertexID
+	// via[q] is a query neighbour of q placed earlier in the order (or
+	// NoVertex); viaOut[q] reports that q is its out-neighbour. scratch[q]
+	// is q's reusable candidate buffer.
+	via     []VertexID
+	viaOut  []bool
+	scratch [][]VertexID
+	assign  []VertexID
+	results []Embedding
+}
+
+// linkVia records, for each query vertex after the first, one query
+// neighbour that is placed before it in the match order.
+func (m *matcher) linkVia() {
+	placed := make([]bool, len(m.order))
+	for _, q := range m.order {
+		for _, eid := range m.query.in[q] {
+			if p := m.query.edges[eid].Src; placed[p] {
+				m.via[q], m.viaOut[q] = p, true
+				break
+			}
+		}
+		if m.via[q] == NoVertex {
+			for _, eid := range m.query.out[q] {
+				if p := m.query.edges[eid].Dst; placed[p] {
+					m.via[q] = p
+					break
+				}
+			}
+		}
+		placed[q] = true
+	}
+}
+
+// degreeFits reports whether data vertex d has at least the degrees of
+// query vertex q — necessary for an injective, edge-preserving match.
+func (m *matcher) degreeFits(q, d VertexID) bool {
+	return m.data.OutDegree(d) >= m.query.OutDegree(q) && m.data.InDegree(d) >= m.query.InDegree(q)
+}
+
+// adjacentCands returns q's candidates given its via neighbour's match:
+// the compatible vertices adjacent to assign[via[q]] in the direction of
+// the query edge, ascending and deduplicated (the parallel view has
+// parallel edges). This is exact, not a heuristic: consistent demands a
+// compatible data edge to every assigned neighbour, so no vertex outside
+// this adjacency could be accepted, and ascending order keeps the
+// embedding order of a full scan.
+func (m *matcher) adjacentCands(q VertexID) []VertexID {
+	dv := m.assign[m.via[q]]
+	adj := m.fz.InNeighbors(dv)
+	if m.viaOut[q] {
+		adj = m.fz.OutNeighbors(dv)
+	}
+	qv := m.query.Vertex(q)
+	buf := m.scratch[q][:0]
+	for _, d := range adj {
+		if m.degreeFits(q, d) && m.vcompat(qv, m.data.Vertex(d)) {
+			buf = append(buf, d)
+		}
+	}
+	slices.Sort(buf)
+	buf = slices.Compact(buf)
+	m.scratch[q] = buf
+	return buf
 }
 
 // matchOrder orders query vertices so each (after the first) is adjacent to
@@ -181,17 +259,18 @@ func (m *matcher) search(pos int) bool {
 		return m.max > 0 && len(m.results) >= m.max
 	}
 	q := m.order[pos]
-	for _, d := range m.cands[q] {
-		if m.usedDat[d] {
-			continue
-		}
-		if !m.consistent(q, d) {
+	cands := m.cands[q]
+	if m.via[q] != NoVertex {
+		cands = m.adjacentCands(q)
+	}
+	for _, d := range cands {
+		// Injectivity: queries are a handful of vertices, so scanning the
+		// assignment beats keeping a set of used data vertices.
+		if slices.Contains(m.assign, d) || !m.consistent(q, d) {
 			continue
 		}
 		m.assign[q] = d
-		m.usedDat[d] = true
 		done := m.search(pos + 1)
-		m.usedDat[d] = false
 		m.assign[q] = NoVertex
 		if done {
 			return true
