@@ -298,6 +298,58 @@ func BenchmarkPassContention(b *testing.B) {
 	}
 }
 
+// BenchmarkPassCriticalPath measures the critical-path pass as a request
+// runs it: core.CriticalPath over every vertex of a 64-rank parallel view,
+// which reads the exclusive-time and wait columns of the DAG skeleton.
+func BenchmarkPassCriticalPath(b *testing.B) {
+	for _, name := range []string{"cg", "zeusmp"} {
+		name := name
+		b.Run(name, func(b *testing.B) {
+			p, err := workloads.Get(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := collector.Collect(p, collector.Options{Ranks: 64})
+			if err != nil {
+				b.Fatal(err)
+			}
+			all := core.AllVertices(res.Parallel)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if core.CriticalPath(all).Len() == 0 {
+					b.Fatal("empty critical path")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGraphDiff measures the graph-difference algorithm behind
+// differential analysis (paper §4.3.2 B): graph.DiffNormalized of the
+// zeusmp top-down views at 8 and 64 ranks.
+func BenchmarkGraphDiff(b *testing.B) {
+	p, err := workloads.Get("zeusmp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	var views [2]*graph.Graph
+	for i, ranks := range []int{8, 64} {
+		res, err := collector.Collect(p, collector.Options{Ranks: ranks})
+		if err != nil {
+			b.Fatal(err)
+		}
+		views[i] = res.TopDown.G
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if graph.DiffNormalized(views[0], views[1]).NumVertices() == 0 {
+			b.Fatal("empty difference")
+		}
+	}
+}
+
 // BenchmarkAblationHybridVsDynamic quantifies the §3.2 claim (static
 // extraction cuts runtime overhead) as a benchmark.
 func BenchmarkAblationHybridVsDynamic(b *testing.B) {

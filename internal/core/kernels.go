@@ -2,7 +2,6 @@ package core
 
 import (
 	"slices"
-	"sync"
 
 	"perflow/internal/graph"
 	"perflow/internal/pag"
@@ -16,37 +15,36 @@ import (
 // what keeps planned and unplanned reports byte-identical.
 
 // keyed pairs a vertex with its sort key so ordering kernels can sort over
-// values cached during the shared sweep instead of re-reading the
-// per-vertex metric maps O(n log n) times inside the comparator.
+// values cached during the shared sweep instead of re-reading the metric
+// column O(n log n) times inside the comparator.
 type keyed struct {
 	id  graph.VertexID
 	val float64
 }
 
-// keyedPool recycles decorate buffers across kernels and runs — the
-// planner's pooled scratch for ordering stages.
-var keyedPool = sync.Pool{New: func() any { return new([]keyed) }}
-
-// sortKeyed orders ids by (val descending, id ascending) — exactly
-// Set.SortBy's total order. The id tiebreak makes the order total (two
-// entries only compare equal when both id and val match, and such entries
-// are interchangeable), so the sorted permutation is unique and an
-// unstable sort over the concrete slice renders the same bytes as
-// SortBy's stable sort. vals[i] must be the key the standalone pass would
-// read for ids[i]; fusion legality (disjoint Reads/Writes) guarantees no
+// sortKeyed orders ks by (val descending, id ascending) — exactly
+// Set.SortBy's total order — and returns the IDs in that order. The id
+// tiebreak makes the order total (two entries only compare equal when both
+// id and val match, and such entries are interchangeable), so the sorted
+// permutation is unique and an unstable sort renders the same bytes as
+// SortBy's stable sort. Each val must be the key the standalone pass would
+// read for its id; fusion legality (disjoint Reads/Writes) guarantees no
 // fused sibling changes it between the sweep and Finish.
-func sortKeyed(ids []graph.VertexID, vals []float64) {
-	bp := keyedPool.Get().(*[]keyed)
-	ks := (*bp)[:0]
-	for i, id := range ids {
-		ks = append(ks, keyed{id, vals[i]})
-	}
+func sortKeyed(ks []keyed) []graph.VertexID {
 	slices.SortFunc(ks, cmpKeyed)
+	return keyedIDs(ks)
+}
+
+// keyedIDs returns the IDs of ks in order (nil when ks is empty).
+func keyedIDs(ks []keyed) []graph.VertexID {
+	if len(ks) == 0 {
+		return nil
+	}
+	ids := make([]graph.VertexID, len(ks))
 	for i := range ks {
 		ids[i] = ks[i].id
 	}
-	*bp = ks[:0]
-	keyedPool.Put(bp)
+	return ids
 }
 
 // cmpKeyed is Set.SortBy's order as a three-way comparison: val
@@ -135,39 +133,33 @@ func (k *filterKernel) Finish() ([]*Set, error) { return []*Set{k.out}, nil }
 // collects each vertex and its metric value, Finish sorts the cached keys
 // and truncates exactly like SortBy+Top (stable, descending, ties to the
 // lower ID, edges carried through unchanged). Caching the key during the
-// sweep is the planner's decorate-sort traversal: one map lookup per
+// sweep is the planner's decorate-sort traversal: one column read per
 // vertex instead of two per comparison.
 type hotspotKernel struct {
-	in     *Set
-	metric string
-	n      int
-	vs     []graph.VertexID
-	vals   []float64
+	in  *Set
+	col []float64 // the metric's vertex column; nil reads 0
+	n   int
+	ks  []keyed
+}
+
+func newHotspotKernel(in *Set, metric string, n int) *hotspotKernel {
+	return &hotspotKernel{in: in, col: in.PAG.G.VertexMetricColumn(metric), n: n, ks: make([]keyed, 0, len(in.V))}
 }
 
 func (k *hotspotKernel) Visit(_ int, v graph.VertexID) {
-	k.vs = append(k.vs, v)
-	k.vals = append(k.vals, k.in.PAG.G.Vertex(v).Metric(k.metric))
+	var x float64
+	if k.col != nil {
+		x = k.col[v]
+	}
+	k.ks = append(k.ks, keyed{v, x})
 }
 
 func (k *hotspotKernel) Finish() ([]*Set, error) {
-	out := &Set{
+	return []*Set{{
 		PAG: k.in.PAG,
+		V:   keyedIDs(topKeyed(k.ks, k.n)),
 		E:   append([]graph.EdgeID(nil), k.in.E...),
-	}
-	bp := keyedPool.Get().(*[]keyed)
-	ks := (*bp)[:0]
-	for i, id := range k.vs {
-		ks = append(ks, keyed{id, k.vals[i]})
-	}
-	ks = topKeyed(ks, k.n)
-	out.V = k.vs[:0]
-	for _, e := range ks {
-		out.V = append(out.V, e.id)
-	}
-	*bp = ks[:0]
-	keyedPool.Put(bp)
-	return []*Set{out}, nil
+	}}, nil
 }
 
 // imbalanceKernel is Imbalance as a kernel.
@@ -175,8 +167,7 @@ type imbalanceKernel struct {
 	in        *Set
 	vecKey    string
 	threshold float64
-	out       *Set
-	vals      []float64
+	ks        []keyed
 }
 
 func (k *imbalanceKernel) Visit(_ int, vid graph.VertexID) {
@@ -202,14 +193,12 @@ func (k *imbalanceKernel) Visit(_ int, vid graph.VertexID) {
 	ratio := maxv / (sum / float64(n))
 	vert.SetMetric(MetricImbalance, ratio)
 	if ratio >= k.threshold {
-		k.out.V = append(k.out.V, vid)
-		k.vals = append(k.vals, ratio)
+		k.ks = append(k.ks, keyed{vid, ratio})
 	}
 }
 
 func (k *imbalanceKernel) Finish() ([]*Set, error) {
-	sortKeyed(k.out.V, k.vals)
-	return []*Set{k.out}, nil
+	return []*Set{{PAG: k.in.PAG, V: sortKeyed(k.ks)}}, nil
 }
 
 // breakdownKernel is Breakdown as a kernel: annotations land on the
@@ -236,9 +225,8 @@ func (k *breakdownKernel) Finish() ([]*Set, error) { return []*Set{k.in.Clone()}
 
 // waitstateKernel is WaitStates as a kernel.
 type waitstateKernel struct {
-	in   *Set
-	out  *Set
-	vals []float64
+	in *Set
+	ks []keyed
 }
 
 func (k *waitstateKernel) Visit(_ int, vid graph.VertexID) {
@@ -248,12 +236,10 @@ func (k *waitstateKernel) Visit(_ int, vid graph.VertexID) {
 	}
 	vert.SetAttr(AttrWaitState, WaitClassOf(vert))
 	if w := vert.Metric(pag.MetricWait); w > 0 {
-		k.out.V = append(k.out.V, vid)
-		k.vals = append(k.vals, w)
+		k.ks = append(k.ks, keyed{vid, w})
 	}
 }
 
 func (k *waitstateKernel) Finish() ([]*Set, error) {
-	sortKeyed(k.out.V, k.vals)
-	return []*Set{k.out}, nil
+	return []*Set{{PAG: k.in.PAG, V: sortKeyed(k.ks)}}, nil
 }

@@ -12,8 +12,9 @@ import (
 // two-scale collection) can share them instead of rebuilding per call.
 // Entries are keyed by (graph pointer, structural version) and kept in a
 // small bounded LRU: metric/attribute updates do not invalidate an entry
-// (the skeleton aliases the original's maps — see EnsureSharedMaps), while
-// structural mutation changes the version and the stale entry ages out.
+// (the skeleton shares the original's property columns — see
+// graph.DAGCopy), while structural mutation changes the version and the
+// stale entry ages out.
 //
 // The planner's materialization hoisting prewarms entries before stages
 // need them and refcounts consumers; the unplanned path benefits equally
@@ -84,10 +85,6 @@ func (m *materials) buildDag() {
 		m.dag = m.g
 		return
 	}
-	// The DAG copy aliases the original's metric/attribute maps; pin that
-	// aliasing before copying so annotations applied to the original after
-	// this point remain visible through the skeleton.
-	m.g.EnsureSharedMaps()
 	m.dag, m.origE = graph.DAGCopy(m.g)
 }
 

@@ -42,7 +42,7 @@ func HotspotPass(metric string, n int) Pass {
 		Traversal: TraversalScan,
 		Reads:     []string{metric},
 		Scan: func(in *Set) ScanKernel {
-			return &hotspotKernel{in: in, metric: metric, n: n}
+			return newHotspotKernel(in, metric, n)
 		},
 	})
 }
@@ -144,7 +144,7 @@ func ImbalancePass(metric string, threshold float64) Pass {
 		Reads:     []string{metric + "_vec"},
 		Writes:    []string{MetricImbalance},
 		Scan: func(in *Set) ScanKernel {
-			return &imbalanceKernel{in: in, vecKey: metric + "_vec", threshold: threshold, out: NewSet(in.PAG)}
+			return &imbalanceKernel{in: in, vecKey: metric + "_vec", threshold: threshold}
 		},
 	})
 }
@@ -302,10 +302,7 @@ func ContentionPass() Pass {
 func CriticalPath(v *Set) *Set {
 	out := NewSet(v.PAG)
 	g, origE := dagOf(v.PAG.G)
-	vs, es, _ := g.Frozen().CriticalPath(
-		func(x *graph.Vertex) float64 { return x.Metric(pag.MetricExclTime) },
-		func(e *graph.Edge) float64 { return e.Metric(pag.MetricWait) },
-	)
+	vs, es, _ := g.Frozen().CriticalPath(g.VertexMetricColumn(pag.MetricExclTime), g.EdgeMetricColumn(pag.MetricWait))
 	if origE != nil {
 		for i, e := range es {
 			es[i] = origE[e]

@@ -217,7 +217,7 @@ func WaitStatePass() Pass {
 		Reads:     []string{pag.MetricWait, pag.AttrKind},
 		Writes:    []string{AttrWaitState},
 		Scan: func(in *Set) ScanKernel {
-			return &waitstateKernel{in: in, out: NewSet(in.PAG)}
+			return &waitstateKernel{in: in}
 		},
 	})
 }

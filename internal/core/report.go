@@ -85,7 +85,7 @@ func (r *Report) WriteSet(w io.Writer, s *Set) error {
 func vertexDisplay(env *pag.PAG, v *graph.Vertex) string {
 	s := v.Name
 	if env.View == pag.Parallel {
-		if _, ok := v.Metrics[pag.MetricRank]; ok {
+		if _, ok := v.LookupMetric(pag.MetricRank); ok {
 			r := int(v.Metric(pag.MetricRank))
 			t := int(v.Metric(pag.MetricThread))
 			if t >= 0 {
@@ -108,7 +108,7 @@ func renderAttr(env *pag.PAG, v *graph.Vertex, a string) string {
 	case "label":
 		return pag.VertexLabelName(v.Label)
 	case "rank":
-		if v.Metrics == nil {
+		if v.NumMetrics() == 0 {
 			return "-"
 		}
 		return fmt.Sprintf("%d", int(v.Metric(pag.MetricRank)))
@@ -120,15 +120,11 @@ func renderAttr(env *pag.PAG, v *graph.Vertex, a string) string {
 	case "debug-info", "dbg-info":
 		a = pag.AttrDebug
 	}
-	if v.Attrs != nil {
-		if s, ok := v.Attrs[a]; ok {
-			return s
-		}
+	if s, ok := v.LookupAttr(a); ok {
+		return s
 	}
-	if v.Metrics != nil {
-		if m, ok := v.Metrics[a]; ok {
-			return formatMetric(m)
-		}
+	if m, ok := v.LookupMetric(a); ok {
+		return formatMetric(m)
 	}
 	return "-"
 }

@@ -51,9 +51,9 @@ func BuildJSONReport(title string, s *Set) *JSONReport {
 			Label: pag.VertexLabelName(v.Label),
 			Debug: v.Attr(pag.AttrDebug),
 		}
-		if len(v.Metrics) > 0 {
-			jv.Metrics = make(map[string]float64, len(v.Metrics))
-			for k, x := range v.Metrics {
+		if n := v.NumMetrics(); n > 0 {
+			jv.Metrics = make(map[string]float64, n)
+			v.EachMetric(func(k string, x float64) {
 				switch k {
 				case pag.MetricRank:
 					r := int(x)
@@ -64,24 +64,24 @@ func BuildJSONReport(title string, s *Set) *JSONReport {
 				default:
 					jv.Metrics[k] = x
 				}
-			}
+			})
 		}
-		if len(v.Attrs) > 0 {
-			jv.Attrs = make(map[string]string, len(v.Attrs))
-			for k, x := range v.Attrs {
-				if k == pag.AttrDebug {
-					continue
+		if n := v.NumAttrs(); n > 0 {
+			jv.Attrs = make(map[string]string, n)
+			v.EachAttr(func(k, x string) {
+				if k != pag.AttrDebug {
+					jv.Attrs[k] = x
 				}
-				jv.Attrs[k] = x
-			}
+			})
 		}
 		rep.Vertices = append(rep.Vertices, jv)
 	}
 	for _, eid := range s.E {
 		e := s.PAG.G.Edge(eid)
 		je := JSONEdge{Src: int(e.Src), Dst: int(e.Dst), Label: pag.EdgeLabelName(e.Label)}
-		if len(e.Metrics) > 0 {
-			je.Metrics = e.Metrics
+		if n := e.NumMetrics(); n > 0 {
+			je.Metrics = make(map[string]float64, n)
+			e.EachMetric(func(k string, x float64) { je.Metrics[k] = x })
 		}
 		rep.Edges = append(rep.Edges, je)
 	}

@@ -7,7 +7,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"perflow/internal/graph"
 	"perflow/internal/pag"
@@ -124,14 +124,7 @@ func globMatch(pattern, name string) bool {
 // vertex ID for determinism.
 func (s *Set) SortBy(metric string) *Set {
 	c := s.Clone()
-	sort.SliceStable(c.V, func(i, j int) bool {
-		a := c.PAG.G.Vertex(c.V[i]).Metric(metric)
-		b := c.PAG.G.Vertex(c.V[j]).Metric(metric)
-		if a != b {
-			return a > b
-		}
-		return c.V[i] < c.V[j]
-	})
+	sortByColumn(c.V, c.PAG.G.VertexMetricColumn(metric), false)
 	return c
 }
 
@@ -139,21 +132,28 @@ func (s *Set) SortBy(metric string) *Set {
 // order differential analysis wants (big negative changes matter too).
 func (s *Set) SortByAbs(metric string) *Set {
 	c := s.Clone()
-	abs := func(x float64) float64 {
-		if x < 0 {
+	sortByColumn(c.V, c.PAG.G.VertexMetricColumn(metric), true)
+	return c
+}
+
+// sortByColumn stably orders ids by col value (absolute value when abs),
+// descending, ties to the lower ID; a nil column reads 0 everywhere.
+// slices.SortStableFunc runs the same insertion-sort-and-merge sequence as
+// sort.SliceStable, so the order is the comparator's even on NaN keys.
+func sortByColumn(ids []graph.VertexID, col []float64, abs bool) {
+	key := func(id graph.VertexID) float64 {
+		if col == nil {
+			return 0
+		}
+		x := col[id]
+		if abs && x < 0 {
 			return -x
 		}
 		return x
 	}
-	sort.SliceStable(c.V, func(i, j int) bool {
-		a := abs(c.PAG.G.Vertex(c.V[i]).Metric(metric))
-		b := abs(c.PAG.G.Vertex(c.V[j]).Metric(metric))
-		if a != b {
-			return a > b
-		}
-		return c.V[i] < c.V[j]
+	slices.SortStableFunc(ids, func(a, b graph.VertexID) int {
+		return cmpKeyed(keyed{a, key(a)}, keyed{b, key(b)})
 	})
-	return c
 }
 
 // Top returns the first n vertices of the set (use after SortBy).

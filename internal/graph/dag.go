@@ -6,6 +6,9 @@ package graph
 // are preserved; origEdge maps each copy edge ID to the source edge ID in
 // g. Passes that need DAG algorithms (LCA, critical path) run on the copy
 // and translate edges back. If g is already acyclic the copy is exact.
+//
+// The copy reads g's metrics and attributes (it shares g's columns, see
+// props.go) and must not itself be structurally mutated.
 func DAGCopy(g *Graph) (dag *Graph, origEdge []EdgeID) {
 	const (
 		white = 0
@@ -49,26 +52,26 @@ func DAGCopy(g *Graph) (dag *Graph, origEdge []EdgeID) {
 		}
 	}
 
-	dag = New(n, len(g.edges))
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		id := dag.AddVertex(v.Name, v.Label)
-		cv := dag.Vertex(id)
-		// Share attribute maps read-only: DAG copies are transient analysis
-		// scaffolding, never mutated.
-		cv.Metrics = v.Metrics
-		cv.VecMetrics = v.VecMetrics
-		cv.Attrs = v.Attrs
+	// Vertices keep their IDs and edges their source edge's column row, so
+	// updates to g after this point stay visible through the copy.
+	dag = &Graph{
+		vertices:  append([]Vertex(nil), g.vertices...),
+		edges:     make([]Edge, 0, len(g.edges)),
+		out:       make([][]EdgeID, n),
+		in:        make([][]EdgeID, n),
+		vprops:    g.vprops,
+		eprops:    g.eprops,
+		isDAGCopy: true,
 	}
 	for i := range g.edges {
 		if isBack[i] {
 			continue
 		}
-		e := &g.edges[i]
-		id := dag.AddEdge(e.Src, e.Dst, e.Label)
-		ce := dag.Edge(id)
-		ce.Metrics = e.Metrics
-		ce.Attrs = e.Attrs
+		e := g.edges[i]
+		e.ID = EdgeID(len(dag.edges))
+		dag.edges = append(dag.edges, e)
+		dag.out[e.Src] = append(dag.out[e.Src], e.ID)
+		dag.in[e.Dst] = append(dag.in[e.Dst], e.ID)
 		origEdge = append(origEdge, EdgeID(i))
 	}
 	return dag, origEdge

@@ -19,84 +19,111 @@ func Diff(g1, g2 *Graph) *Graph {
 		label int
 		dbg   string
 	}
-	idx2 := make(map[key][]VertexID, g2.NumVertices())
-	for i := 0; i < g2.NumVertices(); i++ {
+	// Twins pair up in ID order: head holds each key's first unmatched g2
+	// vertex and next chains the rest.
+	n2 := g2.NumVertices()
+	head := make(map[key]VertexID, n2)
+	next := make([]VertexID, n2)
+	for i := n2 - 1; i >= 0; i-- {
 		v := g2.Vertex(VertexID(i))
 		k := key{v.Name, v.Label, v.Attr("debug")}
-		idx2[k] = append(idx2[k], VertexID(i))
+		next[i] = NoVertex
+		if h, ok := head[k]; ok {
+			next[i] = h
+		}
+		head[k] = VertexID(i)
 	}
 
-	out := New(g1.NumVertices(), g1.NumEdges())
-	taken := make(map[key]int)
-	for i := 0; i < g1.NumVertices(); i++ {
+	n := g1.NumVertices()
+	out := New(n, g1.NumEdges())
+	twin := make([]VertexID, n) // g2's match of each g1 vertex, or NoVertex
+	for i := 0; i < n; i++ {
 		v1 := g1.Vertex(VertexID(i))
 		k := key{v1.Name, v1.Label, v1.Attr("debug")}
-		id := out.AddVertex(v1.Name, v1.Label)
-		ov := out.Vertex(id)
-		ov.Attrs = cloneStringMap(v1.Attrs)
-
-		var v2 *Vertex
-		if cands := idx2[k]; taken[k] < len(cands) {
-			v2 = g2.Vertex(cands[taken[k]])
-			taken[k]++
+		out.AddVertex(v1.Name, v1.Label)
+		twin[i] = NoVertex
+		if h, ok := head[k]; ok {
+			twin[i] = h
+			if next[h] == NoVertex {
+				delete(head, k)
+			} else {
+				head[k] = next[h]
+			}
 		}
-		diffInto(ov, v1, v2)
 	}
 	for i := 0; i < g1.NumEdges(); i++ {
 		e := g1.Edge(EdgeID(i))
-		oid := out.AddEdge(e.Src, e.Dst, e.Label)
-		out.Edge(oid).Attrs = cloneStringMap(e.Attrs)
+		out.AddEdge(e.Src, e.Dst, e.Label)
 	}
+	out.vprops.str.copyFrom(out.vprops, &g1.vprops.str, 0, n, nil, nil)
+	out.eprops.str.copyFrom(out.eprops, &g1.eprops.str, 0, g1.NumEdges(), g1.edgeRows(), nil)
+	diffColumns(out.vprops, &out.vprops.scalar, &g1.vprops.scalar, &g2.vprops.scalar, twin,
+		func(a, b float64) float64 { return b - a })
+	diffColumns(out.vprops, &out.vprops.vec, &g1.vprops.vec, &g2.vprops.vec, twin, diffVec)
 	return out
 }
 
-func diffInto(ov, v1, v2 *Vertex) {
-	for m, x1 := range v1.Metrics {
-		var x2 float64
-		if v2 != nil {
-			x2 = v2.Metric(m)
-		}
-		ov.SetMetric(m, x2-x1)
-	}
-	if v2 != nil {
-		for m, x2 := range v2.Metrics {
-			if _, ok := v1.Metrics[m]; !ok {
-				ov.SetMetric(m, x2)
+// diffColumns fills column table o, row by row over g1's vertices, from
+// g1's table t1 and g2's table t2: a key present in g1 becomes sub(x1, x2)
+// with x2 the twin's value (zero without a twin); a key present only in the
+// twin becomes sub(zero, x2), which is x2 exactly for both value types.
+func diffColumns[T any](p *props, o, t1, t2 *table[T], twin []VertexID, sub func(a, b T) T) {
+	var zero T
+	if d1 := t1.dir.Load(); d1 != nil {
+		for j, c1 := range d1.cols {
+			c2 := t2.get(d1.keys[j])
+			var oc *column[T]
+			for i, tw := range twin {
+				if !c1.has[i] {
+					continue
+				}
+				x2 := zero
+				if tw != NoVertex && c2 != nil {
+					x2 = c2.vals[tw]
+				}
+				if oc == nil {
+					oc = o.col(p, d1.keys[j])
+				}
+				oc.vals[i], oc.has[i] = sub(c1.vals[i], x2), true
 			}
 		}
 	}
-	for m, vec1 := range v1.VecMetrics {
-		var vec2 []float64
-		if v2 != nil {
-			vec2 = v2.Vec(m)
-		}
-		n := len(vec1)
-		if len(vec2) > n {
-			n = len(vec2)
-		}
-		dv := make([]float64, n)
-		for i := 0; i < n; i++ {
-			var a, b float64
-			if i < len(vec1) {
-				a = vec1[i]
+	if d2 := t2.dir.Load(); d2 != nil {
+		for j, c2 := range d2.cols {
+			c1 := t1.get(d2.keys[j])
+			var oc *column[T]
+			for i, tw := range twin {
+				if tw == NoVertex || !c2.has[tw] || (c1 != nil && c1.has[i]) {
+					continue
+				}
+				if oc == nil {
+					oc = o.col(p, d2.keys[j])
+				}
+				oc.vals[i], oc.has[i] = sub(zero, c2.vals[tw]), true
 			}
-			if i < len(vec2) {
-				b = vec2[i]
-			}
-			dv[i] = b - a
-		}
-		ov.SetVec(m, dv)
-	}
-	if v2 != nil {
-		for m, vec2 := range v2.VecMetrics {
-			if _, ok := v1.VecMetrics[m]; ok {
-				continue
-			}
-			dv := make([]float64, len(vec2))
-			copy(dv, vec2)
-			ov.SetVec(m, dv)
 		}
 	}
+}
+
+// diffVec differences two vectors element-wise over the longer length,
+// missing elements reading 0.
+func diffVec(vec1, vec2 []float64) []float64 {
+	n := len(vec1)
+	if len(vec2) > n {
+		n = len(vec2)
+	}
+	dv := make([]float64, n)
+	for i := 0; i < n; i++ {
+		var a, b float64
+		if i < len(vec1) {
+			a = vec1[i]
+		}
+		if i < len(vec2) {
+			b = vec2[i]
+		}
+		dv[i] = b - a
+	}
+	return dv
 }
 
 // DiffNormalized is like Diff but divides each difference by the g1 value
@@ -104,14 +131,20 @@ func diffInto(ov, v1, v2 *Vertex) {
 // scalability analysis where "grew 40x" matters more than "grew 3 ms".
 func DiffNormalized(g1, g2 *Graph) *Graph {
 	d := Diff(g1, g2)
-	for i := 0; i < d.NumVertices() && i < g1.NumVertices(); i++ {
-		dv := d.Vertex(VertexID(i))
-		v1 := g1.Vertex(VertexID(i))
-		for m, delta := range dv.Metrics {
-			if base := v1.Metric(m); base != 0 {
-				dv.Metrics[m] = delta / base
+	dd := d.vprops.scalar.dir.Load()
+	if dd == nil {
+		return d
+	}
+	for j, dc := range dd.cols {
+		base := g1.VertexMetricColumn(dd.keys[j])
+		for i, delta := range dc.vals {
+			if !dc.has[i] {
+				continue
+			}
+			if base != nil && base[i] != 0 {
+				dc.vals[i] = delta / base[i]
 			} else if delta == 0 {
-				dv.Metrics[m] = 0
+				dc.vals[i] = 0
 			}
 		}
 	}

@@ -26,6 +26,7 @@ type Frozen struct {
 	outStart []int32
 	outDst   []VertexID
 	outEdge  []EdgeID
+	outRow   []int32 // the property-column row of each outEdge entry
 	inStart  []int32
 	inSrc    []VertexID
 	inEdge   []EdgeID
@@ -72,6 +73,7 @@ func newFrozen(g *Graph) *Frozen {
 		outStart: make([]int32, nv+1),
 		outDst:   make([]VertexID, ne),
 		outEdge:  make([]EdgeID, ne),
+		outRow:   make([]int32, ne),
 		inStart:  make([]int32, nv+1),
 		inSrc:    make([]VertexID, ne),
 		inEdge:   make([]EdgeID, ne),
@@ -84,6 +86,7 @@ func newFrozen(g *Graph) *Frozen {
 		for _, eid := range g.out[v] {
 			f.outDst[idx] = g.edges[eid].Dst
 			f.outEdge[idx] = eid
+			f.outRow[idx] = g.edges[eid].row
 			idx++
 		}
 	}
@@ -314,9 +317,11 @@ func (f *Frozen) Depths() (depths []int32, ok bool) {
 }
 
 // CriticalPath returns the maximum-weight path through the DAG, exactly as
-// Graph.CriticalPath, but with the distance and predecessor arrays drawn
-// from the scratch pool — only the result path is allocated.
-func (f *Frozen) CriticalPath(weight func(*Vertex) float64, edgeWeight func(*Edge) float64) ([]VertexID, []EdgeID, float64) {
+// Graph.CriticalPath, with the weights read from columns instead of
+// callbacks: vw and ew are a VertexMetricColumn and an EdgeMetricColumn of
+// this graph, and a nil column weighs 0. The distance and predecessor
+// arrays come from the scratch pool — only the result path is allocated.
+func (f *Frozen) CriticalPath(vw, ew []float64) ([]VertexID, []EdgeID, float64) {
 	order, ok := f.TopoSort()
 	if !ok {
 		return nil, nil, 0
@@ -331,18 +336,23 @@ func (f *Frozen) CriticalPath(weight func(*Vertex) float64, edgeWeight func(*Edg
 	prev := s.eprev[:n]
 	for i := 0; i < n; i++ {
 		prev[i] = NoEdge
-		dist[i] = weight(&g.vertices[i])
+		dist[i] = 0
+	}
+	if vw != nil {
+		copy(dist, vw[:n])
 	}
 	for _, v := range order {
 		base := f.outStart[v]
 		for k, d := range f.outDst[base:f.outStart[v+1]] {
 			eid := f.outEdge[base+int32(k)]
-			e := &g.edges[eid]
-			ew := 0.0
-			if edgeWeight != nil {
-				ew = edgeWeight(e)
+			ew0, w := 0.0, 0.0
+			if ew != nil {
+				ew0 = ew[f.outRow[base+int32(k)]]
 			}
-			cand := dist[v] + ew + weight(&g.vertices[d])
+			if vw != nil {
+				w = vw[d]
+			}
+			cand := dist[v] + ew0 + w
 			if cand > dist[d] {
 				dist[d] = cand
 				prev[d] = eid

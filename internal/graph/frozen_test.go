@@ -338,10 +338,49 @@ func TestFrozenTraversalsMatchGraph(t *testing.T) {
 		wf := func(v *Vertex) float64 { return v.Metric("w") }
 		ef := func(e *Edge) float64 { return e.Metric("w") }
 		wv, we, wt := g.CriticalPath(wf, ef)
-		gv, ge, gt := f.CriticalPath(wf, ef)
+		gv, ge, gt := f.CriticalPath(g.VertexMetricColumn("w"), g.EdgeMetricColumn("w"))
 		if wt != gt || !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(we, ge) {
 			t.Fatalf("seed %d: CriticalPath differs: (%v,%v,%v) vs (%v,%v,%v)",
 				seed, wv, we, wt, gv, ge, gt)
+		}
+	}
+}
+
+// TestFrozenCriticalPathColumnsOnDAGCopy pins the column form of
+// Frozen.CriticalPath against the callback oracle on DAG copies of cyclic
+// graphs, where edge IDs and column slots differ, with metrics present on
+// only some elements and with absent (nil) columns.
+func TestFrozenCriticalPathColumnsOnDAGCopy(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(40)
+		g := New(n, 0)
+		for i := 0; i < n; i++ {
+			g.AddVertex("v", 0)
+		}
+		for i := 0; i < 3*n; i++ {
+			g.AddEdge(VertexID(rng.Intn(n)), VertexID(rng.Intn(n)), 0)
+		}
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) > 0 {
+				g.Vertex(VertexID(i)).SetMetric("w", float64(rng.Intn(20)))
+			}
+		}
+		for i := 0; i < g.NumEdges(); i++ {
+			if rng.Intn(2) == 0 {
+				g.Edge(EdgeID(i)).SetMetric("ew", float64(rng.Intn(5)))
+			}
+		}
+		dag, _ := DAGCopy(g)
+		for _, keys := range [][2]string{{"w", "ew"}, {"w", "absent"}, {"absent", "ew"}} {
+			wv, we, wt := dag.CriticalPath(
+				func(v *Vertex) float64 { return v.Metric(keys[0]) },
+				func(e *Edge) float64 { return e.Metric(keys[1]) })
+			gv, ge, gt := dag.Frozen().CriticalPath(dag.VertexMetricColumn(keys[0]), dag.EdgeMetricColumn(keys[1]))
+			if wt != gt || !reflect.DeepEqual(wv, gv) || !reflect.DeepEqual(we, ge) {
+				t.Fatalf("seed %d %v: CriticalPath differs: (%v,%v,%v) vs (%v,%v,%v)",
+					seed, keys, wv, we, wt, gv, ge, gt)
+			}
 		}
 	}
 }

@@ -11,7 +11,6 @@ package graph
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -28,89 +27,14 @@ const NoVertex VertexID = -1
 // NoEdge is returned by edge lookups that find nothing.
 const NoEdge EdgeID = -1
 
-// Vertex is a node of a property digraph.
+// Vertex is a node of a property digraph. Its metrics and attributes live
+// in the owning graph's columns (see props.go) and are reached through the
+// accessor methods.
 type Vertex struct {
 	ID    VertexID
 	Name  string
 	Label int // semantic type, interpreted by the owning layer (see pag)
-
-	// Metrics holds scalar performance data (e.g. aggregate time, PMU sums).
-	Metrics map[string]float64
-	// VecMetrics holds per-process (or per-thread) values of a metric,
-	// indexed by rank. Used by imbalance analysis.
-	VecMetrics map[string][]float64
-	// Attrs holds string attributes such as debug info ("file:line").
-	Attrs map[string]string
-}
-
-// Metric returns the scalar metric m, or 0 if absent.
-func (v *Vertex) Metric(m string) float64 {
-	if v.Metrics == nil {
-		return 0
-	}
-	return v.Metrics[m]
-}
-
-// SetMetric sets scalar metric m to val, allocating the map lazily.
-func (v *Vertex) SetMetric(m string, val float64) {
-	if v.Metrics == nil {
-		v.Metrics = make(map[string]float64, 4)
-	}
-	v.Metrics[m] = val
-}
-
-// AddMetric adds val to scalar metric m.
-func (v *Vertex) AddMetric(m string, val float64) {
-	if v.Metrics == nil {
-		v.Metrics = make(map[string]float64, 4)
-	}
-	v.Metrics[m] += val
-}
-
-// Vec returns the vector metric m, or nil if absent.
-func (v *Vertex) Vec(m string) []float64 {
-	if v.VecMetrics == nil {
-		return nil
-	}
-	return v.VecMetrics[m]
-}
-
-// SetVec sets the vector metric m.
-func (v *Vertex) SetVec(m string, vals []float64) {
-	if v.VecMetrics == nil {
-		v.VecMetrics = make(map[string][]float64, 2)
-	}
-	v.VecMetrics[m] = vals
-}
-
-// AddVecAt adds val at index i of vector metric m, growing the vector with
-// zeros as needed.
-func (v *Vertex) AddVecAt(m string, i int, val float64) {
-	if v.VecMetrics == nil {
-		v.VecMetrics = make(map[string][]float64, 2)
-	}
-	vec := v.VecMetrics[m]
-	for len(vec) <= i {
-		vec = append(vec, 0)
-	}
-	vec[i] += val
-	v.VecMetrics[m] = vec
-}
-
-// Attr returns string attribute k, or "" if absent.
-func (v *Vertex) Attr(k string) string {
-	if v.Attrs == nil {
-		return ""
-	}
-	return v.Attrs[k]
-}
-
-// SetAttr sets string attribute k to val.
-func (v *Vertex) SetAttr(k, val string) {
-	if v.Attrs == nil {
-		v.Attrs = make(map[string]string, 2)
-	}
-	v.Attrs[k] = val
+	propRow
 }
 
 // Edge is a directed edge Src -> Dst of a property digraph.
@@ -119,45 +43,11 @@ type Edge struct {
 	Src   VertexID
 	Dst   VertexID
 	Label int
-
-	Metrics map[string]float64
-	Attrs   map[string]string
+	propRow
 }
 
-// Metric returns scalar metric m of the edge, or 0 if absent.
-func (e *Edge) Metric(m string) float64 {
-	if e.Metrics == nil {
-		return 0
-	}
-	return e.Metrics[m]
-}
-
-// SetMetric sets scalar metric m on the edge.
-func (e *Edge) SetMetric(m string, val float64) {
-	if e.Metrics == nil {
-		e.Metrics = make(map[string]float64, 2)
-	}
-	e.Metrics[m] = val
-}
-
-// Attr returns string attribute k of the edge, or "" if absent.
-func (e *Edge) Attr(k string) string {
-	if e.Attrs == nil {
-		return ""
-	}
-	return e.Attrs[k]
-}
-
-// SetAttr sets string attribute k on the edge.
-func (e *Edge) SetAttr(k, val string) {
-	if e.Attrs == nil {
-		e.Attrs = make(map[string]string, 2)
-	}
-	e.Attrs[k] = val
-}
-
-// Graph is a directed property graph with stable, dense vertex and edge IDs.
-// The zero value is an empty graph ready for use.
+// Graph is a directed property graph with stable, dense vertex and edge IDs,
+// created with New.
 //
 // Structural mutation (AddVertex, AddEdge) is not safe for concurrent use;
 // concurrent reads — including Frozen() — are.
@@ -166,6 +56,11 @@ type Graph struct {
 	edges    []Edge
 	out      [][]EdgeID // outgoing edge IDs per vertex
 	in       [][]EdgeID // incoming edge IDs per vertex
+
+	// Property columns of vertices and edges. A DAG copy shares its
+	// original's and must not be structurally mutated.
+	vprops, eprops *props
+	isDAGCopy      bool
 
 	// version counts structural mutations; a Frozen snapshot is valid only
 	// while the version it captured is current.
@@ -182,6 +77,8 @@ func New(nv, ne int) *Graph {
 		edges:    make([]Edge, 0, ne),
 		out:      make([][]EdgeID, 0, nv),
 		in:       make([][]EdgeID, 0, nv),
+		vprops:   &props{hint: nv},
+		eprops:   &props{hint: ne},
 	}
 }
 
@@ -193,8 +90,10 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddVertex appends a vertex with the given name and label and returns its ID.
 func (g *Graph) AddVertex(name string, label int) VertexID {
+	g.checkMutable()
 	id := VertexID(len(g.vertices))
-	g.vertices = append(g.vertices, Vertex{ID: id, Name: name, Label: label})
+	g.vertices = append(g.vertices, Vertex{ID: id, Name: name, Label: label, propRow: propRow{g.vprops, int32(id)}})
+	g.vprops.grow()
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
 	g.version++
@@ -209,8 +108,10 @@ func (g *Graph) AddEdge(src, dst VertexID, label int) EdgeID {
 	if !g.HasVertex(src) || !g.HasVertex(dst) {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) with %d vertices", src, dst, len(g.vertices)))
 	}
+	g.checkMutable()
 	id := EdgeID(len(g.edges))
-	g.edges = append(g.edges, Edge{ID: id, Src: src, Dst: dst, Label: label})
+	g.edges = append(g.edges, Edge{ID: id, Src: src, Dst: dst, Label: label, propRow: propRow{g.eprops, int32(id)}})
+	g.eprops.grow()
 	g.out[src] = append(g.out[src], id)
 	g.in[dst] = append(g.in[dst], id)
 	g.version++
@@ -223,33 +124,11 @@ func (g *Graph) AddEdge(src, dst VertexID, label int) EdgeID {
 // views, DAG skeletons, ancestor sets) by (graph, version).
 func (g *Graph) Version() uint64 { return g.version }
 
-// EnsureSharedMaps force-allocates the metric and attribute maps of every
-// vertex and edge. An empty map is observationally identical to a nil one,
-// but the distinction matters to anything that aliases these maps (DAGCopy
-// shares them with the original): a nil map at copy time would be replaced
-// by a fresh allocation on the next SetMetric, silently detaching the copy.
-// After EnsureSharedMaps, aliasing is permanent.
-func (g *Graph) EnsureSharedMaps() {
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		if v.Metrics == nil {
-			v.Metrics = make(map[string]float64, 4)
-		}
-		if v.VecMetrics == nil {
-			v.VecMetrics = make(map[string][]float64, 2)
-		}
-		if v.Attrs == nil {
-			v.Attrs = make(map[string]string, 2)
-		}
-	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.Metrics == nil {
-			e.Metrics = make(map[string]float64, 2)
-		}
-		if e.Attrs == nil {
-			e.Attrs = make(map[string]string, 2)
-		}
+// checkMutable refuses to grow a DAG copy, whose columns belong to its
+// original.
+func (g *Graph) checkMutable() {
+	if g.isDAGCopy {
+		panic("graph: structural mutation of a DAG copy")
 	}
 }
 
@@ -389,64 +268,16 @@ func (g *Graph) Clone() *Graph {
 	c := New(len(g.vertices), len(g.edges))
 	for i := range g.vertices {
 		v := &g.vertices[i]
-		id := c.AddVertex(v.Name, v.Label)
-		cv := c.Vertex(id)
-		cv.Metrics = cloneScalarMap(v.Metrics)
-		cv.Attrs = cloneStringMap(v.Attrs)
-		cv.VecMetrics = cloneVecMap(v.VecMetrics)
+		c.AddVertex(v.Name, v.Label)
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
-		id := c.AddEdge(e.Src, e.Dst, e.Label)
-		ce := c.Edge(id)
-		ce.Metrics = cloneScalarMap(e.Metrics)
-		ce.Attrs = cloneStringMap(e.Attrs)
+		c.AddEdge(e.Src, e.Dst, e.Label)
 	}
-	return c
-}
-
-func cloneScalarMap(m map[string]float64) map[string]float64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]float64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func cloneStringMap(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string]string, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
-func cloneVecMap(m map[string][]float64) map[string][]float64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[string][]float64, len(m))
-	for k, v := range m {
+	c.copyPropsFrom(g, 0, 0, func(v []float64) []float64 {
 		cv := make([]float64, len(v))
 		copy(cv, v)
-		c[k] = cv
-	}
+		return cv
+	})
 	return c
-}
-
-// SortedMetricKeys returns the metric names of v in sorted order, for
-// deterministic reporting.
-func SortedMetricKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -41,56 +41,45 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 	for i := range g.vertices {
 		v := &g.vertices[i]
 		intern(v.Name)
-		for _, k := range SortedMetricKeys(v.Metrics) {
-			intern(k)
-		}
-		for _, k := range sortedVecKeys(v.VecMetrics) {
-			intern(k)
-		}
-		for _, k := range sortedStrKeys(v.Attrs) {
-			intern(k)
-			intern(v.Attrs[k])
-		}
+		v.EachMetric(func(k string, _ float64) { intern(k) })
+		v.EachVec(func(k string, _ []float64) { intern(k) })
+		v.EachAttr(func(k, val string) { intern(k); intern(val) })
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
-		for _, k := range SortedMetricKeys(e.Metrics) {
-			intern(k)
-		}
-		for _, k := range sortedStrKeys(e.Attrs) {
-			intern(k)
-			intern(e.Attrs[k])
-		}
+		e.EachMetric(func(k string, _ float64) { intern(k) })
+		e.EachAttr(func(k, val string) { intern(k); intern(val) })
 	}
 	enc.u32(uint32(len(table)))
 	for _, s := range table {
 		enc.str(s)
 	}
 
+	metric := func(k string, x float64) {
+		enc.u32(enc.strings[k])
+		enc.f64(x)
+	}
+	attr := func(k, val string) {
+		enc.u32(enc.strings[k])
+		enc.u32(enc.strings[val])
+	}
 	enc.u32(uint32(len(g.vertices)))
 	for i := range g.vertices {
 		v := &g.vertices[i]
 		enc.u32(enc.strings[v.Name])
 		enc.i32(int32(v.Label))
-		enc.u32(uint32(len(v.Metrics)))
-		for _, k := range SortedMetricKeys(v.Metrics) {
+		enc.u32(uint32(v.NumMetrics()))
+		v.EachMetric(metric)
+		enc.u32(uint32(v.NumVecs()))
+		v.EachVec(func(k string, vec []float64) {
 			enc.u32(enc.strings[k])
-			enc.f64(v.Metrics[k])
-		}
-		enc.u32(uint32(len(v.VecMetrics)))
-		for _, k := range sortedVecKeys(v.VecMetrics) {
-			enc.u32(enc.strings[k])
-			vec := v.VecMetrics[k]
 			enc.u32(uint32(len(vec)))
 			for _, x := range vec {
 				enc.f64(x)
 			}
-		}
-		enc.u32(uint32(len(v.Attrs)))
-		for _, k := range sortedStrKeys(v.Attrs) {
-			enc.u32(enc.strings[k])
-			enc.u32(enc.strings[v.Attrs[k]])
-		}
+		})
+		enc.u32(uint32(v.NumAttrs()))
+		v.EachAttr(attr)
 	}
 
 	enc.u32(uint32(len(g.edges)))
@@ -99,16 +88,10 @@ func (g *Graph) WriteTo(w io.Writer) (int64, error) {
 		enc.u32(uint32(e.Src))
 		enc.u32(uint32(e.Dst))
 		enc.i32(int32(e.Label))
-		enc.u32(uint32(len(e.Metrics)))
-		for _, k := range SortedMetricKeys(e.Metrics) {
-			enc.u32(enc.strings[k])
-			enc.f64(e.Metrics[k])
-		}
-		enc.u32(uint32(len(e.Attrs)))
-		for _, k := range sortedStrKeys(e.Attrs) {
-			enc.u32(enc.strings[k])
-			enc.u32(enc.strings[e.Attrs[k]])
-		}
+		enc.u32(uint32(e.NumMetrics()))
+		e.EachMetric(metric)
+		enc.u32(uint32(e.NumAttrs()))
+		e.EachAttr(attr)
 	}
 	if enc.err != nil {
 		return cw.n, enc.err
@@ -128,10 +111,12 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	if v := dec.u32(); v != serialVersion {
 		return nil, fmt.Errorf("graph: unsupported version %d", v)
 	}
+	// Counts in the input are untrusted: they only cap how far each loop
+	// reads, never how much is allocated up front (see sizeHint).
 	nStr := dec.u32()
-	table := make([]string, nStr)
-	for i := range table {
-		table[i] = dec.str()
+	table := make([]string, 0, sizeHint(nStr))
+	for i := uint32(0); i < nStr && dec.err == nil; i++ {
+		table = append(table, dec.str())
 	}
 	lookup := func(idx uint32) (string, error) {
 		if int(idx) >= len(table) {
@@ -141,7 +126,7 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	}
 
 	nv := dec.u32()
-	g := New(int(nv), 0)
+	g := New(sizeHint(nv), 0)
 	for i := uint32(0); i < nv && dec.err == nil; i++ {
 		name, err := lookup(dec.u32())
 		if err != nil {
@@ -163,9 +148,9 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 				return nil, err
 			}
 			vl := dec.u32()
-			vec := make([]float64, vl)
-			for x := range vec {
-				vec[x] = dec.f64()
+			vec := make([]float64, 0, sizeHint(vl))
+			for x := uint32(0); x < vl && dec.err == nil; x++ {
+				vec = append(vec, dec.f64())
 			}
 			v.SetVec(k, vec)
 		}
@@ -216,6 +201,11 @@ func ReadFrom(r io.Reader) (*Graph, error) {
 	}
 	return g, nil
 }
+
+// sizeHint bounds a count read from the input before it is used as a
+// capacity: a hostile header can claim billions of elements in a few
+// bytes, so larger inputs grow by append as their data actually arrives.
+func sizeHint(n uint32) int { return int(min(n, 1<<16)) }
 
 // SerializedSize returns the number of bytes WriteTo would produce.
 func (g *Graph) SerializedSize() int64 {
@@ -314,24 +304,6 @@ func (d *decoder) str() string {
 	return string(b)
 }
 
-func sortedStrKeys(m map[string]string) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func sortedVecKeys(m map[string][]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
 // DOT renders g in Graphviz DOT syntax. The optional highlight sets mark
 // vertices (drawn with a box) and edges (drawn bold red), matching how the
 // paper's figures mark imbalance-analysis outputs and backtracking paths.
@@ -374,17 +346,11 @@ func (g *Graph) WriteGraphML(w io.Writer, name string) error {
 	vMetrics, vAttrs := map[string]bool{}, map[string]bool{}
 	eMetrics := map[string]bool{}
 	for i := range g.vertices {
-		for k := range g.vertices[i].Metrics {
-			vMetrics[k] = true
-		}
-		for k := range g.vertices[i].Attrs {
-			vAttrs[k] = true
-		}
+		g.vertices[i].EachMetric(func(k string, _ float64) { vMetrics[k] = true })
+		g.vertices[i].EachAttr(func(k, _ string) { vAttrs[k] = true })
 	}
 	for i := range g.edges {
-		for k := range g.edges[i].Metrics {
-			eMetrics[k] = true
-		}
+		g.edges[i].EachMetric(func(k string, _ float64) { eMetrics[k] = true })
 	}
 	fmt.Fprintln(bw, `  <key id="v_name" for="node" attr.name="name" attr.type="string"/>`)
 	fmt.Fprintln(bw, `  <key id="v_label" for="node" attr.name="label" attr.type="int"/>`)
@@ -405,21 +371,21 @@ func (g *Graph) WriteGraphML(w io.Writer, name string) error {
 		fmt.Fprintf(bw, "    <node id=\"n%d\">\n", v.ID)
 		fmt.Fprintf(bw, "      <data key=\"v_name\">%s</data>\n", xmlEscape(v.Name))
 		fmt.Fprintf(bw, "      <data key=\"v_label\">%d</data>\n", v.Label)
-		for _, k := range SortedMetricKeys(v.Metrics) {
-			fmt.Fprintf(bw, "      <data key=\"vm_%s\">%g</data>\n", k, v.Metrics[k])
-		}
-		for _, k := range sortedStrKeys(v.Attrs) {
-			fmt.Fprintf(bw, "      <data key=\"va_%s\">%s</data>\n", k, xmlEscape(v.Attrs[k]))
-		}
+		v.EachMetric(func(k string, x float64) {
+			fmt.Fprintf(bw, "      <data key=\"vm_%s\">%g</data>\n", k, x)
+		})
+		v.EachAttr(func(k, val string) {
+			fmt.Fprintf(bw, "      <data key=\"va_%s\">%s</data>\n", k, xmlEscape(val))
+		})
 		fmt.Fprintln(bw, "    </node>")
 	}
 	for i := range g.edges {
 		e := &g.edges[i]
 		fmt.Fprintf(bw, "    <edge source=\"n%d\" target=\"n%d\">\n", e.Src, e.Dst)
 		fmt.Fprintf(bw, "      <data key=\"e_label\">%d</data>\n", e.Label)
-		for _, k := range SortedMetricKeys(e.Metrics) {
-			fmt.Fprintf(bw, "      <data key=\"em_%s\">%g</data>\n", k, e.Metrics[k])
-		}
+		e.EachMetric(func(k string, x float64) {
+			fmt.Fprintf(bw, "      <data key=\"em_%s\">%g</data>\n", k, x)
+		})
 		fmt.Fprintln(bw, "    </edge>")
 	}
 	fmt.Fprintln(bw, "  </graph>")

@@ -174,7 +174,8 @@ func TestEmbedRunMetrics(t *testing.T) {
 		t.Errorf("rank 0 should dominate: %v", vec)
 	}
 	if kernel.Metric(MetricCycles) <= 0 || kernel.Metric(MetricInstrs) <= 0 || kernel.Metric(MetricCacheMiss) <= 0 {
-		t.Errorf("PMU counters missing: %v", kernel.Metrics)
+		t.Errorf("PMU counters missing: cycles=%v instructions=%v cache_misses=%v",
+			kernel.Metric(MetricCycles), kernel.Metric(MetricInstrs), kernel.Metric(MetricCacheMiss))
 	}
 	if kernel.Metric(MetricCount) != 4 {
 		t.Errorf("count = %v, want 4 (one closed-form event per rank)", kernel.Metric(MetricCount))

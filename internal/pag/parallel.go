@@ -77,25 +77,23 @@ func BuildParallelOpts(run *trace.Run, opts BuildOptions) *PAG {
 	}
 
 	// Deterministic merge: shards append in rank order, which reproduces the
-	// IDs a sequential rank-by-rank build assigns. Metric maps move, they
-	// are not copied — the shard graphs are discarded here.
+	// IDs a sequential rank-by-rank build assigns. Each shard's metric and
+	// attribute columns are copied as one range per key.
 	for _, sh := range shards {
 		off := graph.VertexID(p.G.NumVertices())
+		eoff := graph.EdgeID(p.G.NumEdges())
 		for lv := 0; lv < sh.g.NumVertices(); lv++ {
 			v := sh.g.Vertex(graph.VertexID(lv))
 			id := p.G.AddVertex(v.Name, v.Label)
-			gv := p.G.Vertex(id)
-			gv.Metrics, gv.VecMetrics, gv.Attrs = v.Metrics, v.VecMetrics, v.Attrs
 			p.nodeOf = append(p.nodeOf, sh.nodeOf[lv])
 			p.flowIdx[sh.keys[lv]] = id
 		}
 		for le := 0; le < sh.g.NumEdges(); le++ {
 			e := sh.g.Edge(graph.EdgeID(le))
 			id := p.G.AddEdge(off+e.Src, off+e.Dst, e.Label)
-			ge := p.G.Edge(id)
-			ge.Metrics, ge.Attrs = e.Metrics, e.Attrs
 			b.edgeIdx[edgeKey{off + e.Src, off + e.Dst, e.Label}] = id
 		}
+		p.G.CopyMetricsFrom(sh.g, off, eoff)
 		for th, stream := range sh.streams {
 			gs := make([]graph.VertexID, len(stream))
 			for i, v := range stream {
@@ -171,12 +169,12 @@ type rankShard struct {
 	run  *trace.Run
 	rank int32
 
-	g       *graph.Graph
-	nodeOf  []ir.NodeID                   // per local vertex
-	keys    []FlowKey                     // per local vertex: its flow key
-	flowIdx map[FlowKey]graph.VertexID    // (rank,thread,node) -> local vertex
-	edgeIdx map[edgeKey]graph.EdgeID      // aggregated-edge dedup index
-	streams map[int32][]graph.VertexID    // per thread: flow vertex sequence
+	g          *graph.Graph
+	nodeOf     []ir.NodeID                // per local vertex
+	keys       []FlowKey                  // per local vertex: its flow key
+	flowIdx    map[FlowKey]graph.VertexID // (rank,thread,node) -> local vertex
+	edgeIdx    map[edgeKey]graph.EdgeID   // aggregated-edge dedup index
+	streams    map[int32][]graph.VertexID // per thread: flow vertex sequence
 	inStream   []bool                     // per local vertex: already in its stream
 	lastInFlow map[int32]graph.VertexID   // per thread: last vertex visited
 
@@ -187,12 +185,18 @@ type rankShard struct {
 
 func buildRankShard(run *trace.Run, rank int32) *rankShard {
 	evs := run.Events[rank]
+	// Size the shard from its input: a flow vertex is a (thread, node) pair
+	// the rank's events visit, so the smaller of the event count and the
+	// node count times the flows estimates the vertex count from above.
+	// Edges are about as many (a chain per flow). These are capacity
+	// hints, not limits.
+	n := min(len(evs), run.Program.NumNodes()*(run.ThreadsPerRank+1))
 	sh := &rankShard{
 		run:        run,
 		rank:       rank,
-		g:          graph.New(64, 128),
-		flowIdx:    make(map[FlowKey]graph.VertexID, 64),
-		edgeIdx:    make(map[edgeKey]graph.EdgeID, 128),
+		g:          graph.New(n, n),
+		flowIdx:    make(map[FlowKey]graph.VertexID, n),
+		edgeIdx:    make(map[edgeKey]graph.EdgeID, n),
 		streams:    make(map[int32][]graph.VertexID, 2),
 		lastInFlow: make(map[int32]graph.VertexID, 2),
 	}

@@ -86,13 +86,14 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 	if nNodes > 1<<28 {
 		return nil, errors.New("pag: implausible node-map size")
 	}
-	p.nodeOf = make([]ir.NodeID, nNodes)
+	// The count is untrusted: grow by append as entries arrive.
+	p.nodeOf = make([]ir.NodeID, 0, min(nNodes, 1<<16))
 	var buf [4]byte
-	for i := range p.nodeOf {
+	for i := uint32(0); i < nNodes; i++ {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, err
 		}
-		p.nodeOf[i] = ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:])))
+		p.nodeOf = append(p.nodeOf, ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:]))))
 	}
 	g, err := graph.ReadFrom(br)
 	if err != nil {
@@ -119,11 +120,8 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 		p.flowIdx = make(map[FlowKey]graph.VertexID, g.NumVertices())
 		for i := 0; i < g.NumVertices(); i++ {
 			v := g.Vertex(graph.VertexID(i))
-			if v.Metrics == nil {
-				continue
-			}
-			r, hasR := v.Metrics[MetricRank]
-			t, hasT := v.Metrics[MetricThread]
+			r, hasR := v.LookupMetric(MetricRank)
+			t, hasT := v.LookupMetric(MetricThread)
 			if !hasR || !hasT || p.nodeOf[i] == ir.NoNode {
 				continue
 			}

@@ -14,8 +14,10 @@
 //   - For each Describe(pass, PassInfo{...}) call it collects the declared
 //     Reads/Writes entries as printed expressions ("*" is a wildcard, and
 //     NewEnv exempts writes — they land in a derived environment).
-//   - It then walks the pass expression for key accesses — Metric/Attr/Vec
-//     calls read, SetMetric/SetAttr/SetVec write — following calls to
+//   - It then walks the pass expression for key accesses — Metric/Attr/Vec,
+//     their Lookup* forms and the Vertex/EdgeMetricColumn reads read,
+//     SetMetric/SetAttr/SetVec/AddMetric/AddVecAt write, and the Each*/Num*
+//     enumerations read every key ("*") — following calls to
 //     same-package top-level functions transitively, and including the
 //     methods of any kernel type the Scan field constructs.
 //   - An accessed key is covered when its printed expression matches a
@@ -52,8 +54,20 @@ func (f Finding) String() string {
 }
 
 var (
-	readMethods  = map[string]bool{"Metric": true, "Attr": true, "Vec": true}
-	writeMethods = map[string]bool{"SetMetric": true, "SetAttr": true, "SetVec": true}
+	readMethods = map[string]bool{
+		"Metric": true, "Attr": true, "Vec": true,
+		"LookupMetric": true, "LookupAttr": true, "LookupVec": true,
+		"VertexMetricColumn": true, "EdgeMetricColumn": true,
+	}
+	writeMethods = map[string]bool{
+		"SetMetric": true, "SetAttr": true, "SetVec": true,
+		"AddMetric": true, "AddVecAt": true,
+	}
+	// readAllMethods enumerate every key an element has, so they read "*".
+	readAllMethods = map[string]bool{
+		"EachMetric": true, "EachAttr": true, "EachVec": true,
+		"NumMetrics": true, "NumAttrs": true, "NumVecs": true,
+	}
 )
 
 // CheckDir parses every non-test Go file in dir (one package expected) and
@@ -157,10 +171,19 @@ func (c *checker) checkDescribe(passExpr ast.Expr, info *ast.CompositeLit) []Fin
 	var visit func(n ast.Node, sc *scope)
 	checkAccess := func(call *ast.CallExpr, sc *scope) {
 		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || len(call.Args) == 0 {
+		if !ok {
 			return
 		}
 		name := sel.Sel.Name
+		if readAllMethods[name] {
+			if !reads["\"*\""] {
+				report("read", "\"*\"", call.Pos())
+			}
+			return
+		}
+		if len(call.Args) == 0 {
+			return
+		}
 		isRead, isWrite := readMethods[name], writeMethods[name]
 		if !isRead && !isWrite {
 			return

@@ -106,3 +106,87 @@ var _ = Describe(func(v *Vert) {
 		}
 	}
 }
+
+// TestDetectsAccumulatorColumnAndEnumerationAccess plants one undeclared
+// access per accessor beyond the plain Metric/Attr/Vec and Set* forms:
+// the accumulating writes, the Lookup* reads, the column reads and the
+// whole-element enumerations (which read "*"). Declared twins of each stay
+// silent.
+func TestDetectsAccumulatorColumnAndEnumerationAccess(t *testing.T) {
+	src := `package fake
+
+type PassInfo struct {
+	Reads  []string
+	Writes []string
+}
+
+type Vert struct{}
+
+func (v *Vert) AddMetric(k string, x float64)         {}
+func (v *Vert) AddVecAt(k string, i int, x float64)   {}
+func (v *Vert) LookupMetric(k string) (float64, bool) { return 0, false }
+func (v *Vert) LookupAttr(k string) (string, bool)    { return "", false }
+func (v *Vert) LookupVec(k string) ([]float64, bool)  { return nil, false }
+func (v *Vert) EachMetric(fn func(string, float64))   {}
+func (v *Vert) NumAttrs() int                         { return 0 }
+
+type Graph struct{}
+
+func (g *Graph) VertexMetricColumn(k string) []float64 { return nil }
+func (g *Graph) EdgeMetricColumn(k string) []float64   { return nil }
+
+func Describe(p, i any) any { return p }
+
+var _ = Describe(func(v *Vert, g *Graph) {
+	v.AddMetric("sum", 1)
+	v.AddVecAt("vec", 0, 1)
+	_, _ = v.LookupMetric("lm")
+	_, _ = v.LookupAttr("la")
+	_, _ = v.LookupVec("lv")
+	_ = g.VertexMetricColumn("etime")
+	_ = g.EdgeMetricColumn("wait")
+	v.AddMetric("okw", 1)
+	_, _ = v.LookupMetric("okr")
+	_ = g.VertexMetricColumn("okr")
+}, PassInfo{Reads: []string{"okr"}, Writes: []string{"okw"}})
+
+var _ = Describe(func(v *Vert) {
+	v.EachMetric(func(string, float64) {})
+}, PassInfo{})
+
+var _ = Describe(func(v *Vert) {
+	_ = v.NumAttrs()
+	v.EachMetric(func(string, float64) {})
+}, PassInfo{Reads: []string{"*"}})
+`
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "fake.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	findings, err := CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, f := range findings {
+		got[f.Kind+" "+f.Key] = true
+	}
+	want := []string{
+		`write "sum"`,  // AddMetric
+		`write "vec"`,  // AddVecAt
+		`read "lm"`,    // LookupMetric
+		`read "la"`,    // LookupAttr
+		`read "lv"`,    // LookupVec
+		`read "etime"`, // VertexMetricColumn
+		`read "wait"`,  // EdgeMetricColumn
+		`read "*"`,     // EachMetric without a wildcard read
+	}
+	for _, w := range want {
+		if !got[w] {
+			t.Errorf("missing finding %q; got %v", w, findings)
+		}
+	}
+	if len(findings) != len(want) {
+		t.Errorf("want exactly %d findings, got %d: %v", len(want), len(findings), findings)
+	}
+}

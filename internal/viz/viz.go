@@ -123,11 +123,8 @@ func ParallelView(w io.Writer, p *pag.PAG, opts ParallelViewOptions) {
 	var ranks []int
 	for i := 0; i < p.G.NumVertices(); i++ {
 		v := p.G.Vertex(graph.VertexID(i))
-		if v.Metrics == nil {
-			continue
-		}
-		t, hasT := v.Metrics[pag.MetricThread]
-		r, hasR := v.Metrics[pag.MetricRank]
+		t, hasT := v.LookupMetric(pag.MetricThread)
+		r, hasR := v.LookupMetric(pag.MetricRank)
 		if !hasT || !hasR || int(t) != -1 {
 			continue
 		}
