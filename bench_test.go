@@ -10,6 +10,10 @@ package perflow_test
 import (
 	"context"
 	"io"
+	"os"
+	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,6 +21,7 @@ import (
 	"perflow/internal/core"
 	"perflow/internal/experiments"
 	"perflow/internal/graph"
+	"perflow/internal/ir"
 	"perflow/internal/mpisim"
 	"perflow/internal/pag"
 	"perflow/internal/workloads"
@@ -159,6 +164,64 @@ func BenchmarkMPISimulator(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkCollectServeMiss measures what a serve cache miss collects: the
+// four example DSL programs at 4, 8 and 16 ranks (pipeline.pfl at 8 only,
+// the one size it completes at), each on one goroutine (Parallelism 1) as
+// the server's jobs run, with two collections in flight at once as under
+// two server workers. One op is one pass over the ten collections.
+func BenchmarkCollectServeMiss(b *testing.B) {
+	type miss struct {
+		p     *ir.Program
+		ranks int
+	}
+	var misses []miss
+	for _, name := range []string{"gpu_overlap", "halo2d", "pipeline", "threads_contention"} {
+		src, err := os.ReadFile(filepath.Join("examples", "dsl", name+".pfl"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		ranks := []int{4, 8, 16}
+		if name == "pipeline" {
+			ranks = []int{8}
+		}
+		for _, r := range ranks {
+			// Each collection gets its own program, as each serve request
+			// parses its own.
+			p, err := ir.ParseString(string(src))
+			if err != nil {
+				b.Fatal(err)
+			}
+			misses = append(misses, miss{p, r})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				for _, m := range misses {
+					_, err := collector.CollectCtx(context.Background(), m.p,
+						collector.Options{Ranks: m.ranks, Parallelism: 1})
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	if err := <-errs; err != nil {
+		b.Fatal(err)
 	}
 }
 

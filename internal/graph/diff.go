@@ -36,11 +36,11 @@ func Diff(g1, g2 *Graph) *Graph {
 
 	n := g1.NumVertices()
 	out := New(n, g1.NumEdges())
+	out.copyStructure(g1)
 	twin := make([]VertexID, n) // g2's match of each g1 vertex, or NoVertex
 	for i := 0; i < n; i++ {
 		v1 := g1.Vertex(VertexID(i))
 		k := key{v1.Name, v1.Label, v1.Attr("debug")}
-		out.AddVertex(v1.Name, v1.Label)
 		twin[i] = NoVertex
 		if h, ok := head[k]; ok {
 			twin[i] = h
@@ -51,69 +51,93 @@ func Diff(g1, g2 *Graph) *Graph {
 			}
 		}
 	}
-	for i := 0; i < g1.NumEdges(); i++ {
-		e := g1.Edge(EdgeID(i))
-		out.AddEdge(e.Src, e.Dst, e.Label)
-	}
 	out.vprops.str.copyFrom(out.vprops, &g1.vprops.str, 0, n, nil, nil)
 	out.eprops.str.copyFrom(out.eprops, &g1.eprops.str, 0, g1.NumEdges(), g1.edgeRows(), nil)
-	diffColumns(out.vprops, &out.vprops.scalar, &g1.vprops.scalar, &g2.vprops.scalar, twin,
-		func(a, b float64) float64 { return b - a })
-	diffColumns(out.vprops, &out.vprops.vec, &g1.vprops.vec, &g2.vprops.vec, twin, diffVec)
+	diffColumns(out.vprops, &out.vprops.scalar, &g1.vprops.scalar, &g2.vprops.scalar, twin, scalarDiff{})
+	diffColumns(out.vprops, &out.vprops.vec, &g1.vprops.vec, &g2.vprops.vec, twin, &vecDiff{})
 	return out
 }
 
 // diffColumns fills column table o, row by row over g1's vertices, from
-// g1's table t1 and g2's table t2: a key present in g1 becomes sub(x1, x2)
-// with x2 the twin's value (zero without a twin); a key present only in the
-// twin becomes sub(zero, x2), which is x2 exactly for both value types.
-func diffColumns[T any](p *props, o, t1, t2 *table[T], twin []VertexID, sub func(a, b T) T) {
-	var zero T
+// g1's table t1 and g2's table t2: a key present in g1 becomes d.sub(x1,
+// x2) with x2 the twin's value (zero without a twin); a key present only in
+// the twin becomes d.sub(zero, x2), which is x2 exactly for both value
+// types. Absent elements hold the zero value, so both cases read the
+// columns directly.
+func diffColumns[T any](p *props, o, t1, t2 *table[T], twin []VertexID, d differ[T]) {
+	var keys []string
 	if d1 := t1.dir.Load(); d1 != nil {
-		for j, c1 := range d1.cols {
-			c2 := t2.get(d1.keys[j])
-			var oc *column[T]
+		keys = append(keys, d1.keys...)
+	}
+	if d2 := t2.dir.Load(); d2 != nil {
+		for _, k := range d2.keys {
+			if t1.get(k) == nil {
+				keys = append(keys, k)
+			}
+		}
+	}
+	for _, k := range keys {
+		c1, c2 := t1.get(k), t2.get(k)
+		// rows calls fn for every row of key k's output column.
+		rows := func(fn func(i int, x1, x2 T)) {
 			for i, tw := range twin {
-				if !c1.has[i] {
+				in1 := c1 != nil && c1.has[i]
+				in2 := tw != NoVertex && c2 != nil && c2.has[tw]
+				if !in1 && !in2 {
 					continue
 				}
-				x2 := zero
+				var x1, x2 T
+				if c1 != nil {
+					x1 = c1.vals[i]
+				}
 				if tw != NoVertex && c2 != nil {
 					x2 = c2.vals[tw]
 				}
-				if oc == nil {
-					oc = o.col(p, d1.keys[j])
-				}
-				oc.vals[i], oc.has[i] = sub(c1.vals[i], x2), true
+				fn(i, x1, x2)
 			}
 		}
-	}
-	if d2 := t2.dir.Load(); d2 != nil {
-		for j, c2 := range d2.cols {
-			c1 := t1.get(d2.keys[j])
-			var oc *column[T]
-			for i, tw := range twin {
-				if tw == NoVertex || !c2.has[tw] || (c1 != nil && c1.has[i]) {
-					continue
-				}
-				if oc == nil {
-					oc = o.col(p, d2.keys[j])
-				}
-				oc.vals[i], oc.has[i] = sub(zero, c2.vals[tw]), true
+		d.begin(rows)
+		var oc *column[T]
+		rows(func(i int, x1, x2 T) {
+			if oc == nil {
+				oc = o.col(p, k)
 			}
-		}
+			oc.vals[i], oc.has[i] = d.sub(x1, x2), true
+		})
 	}
 }
 
-// diffVec differences two vectors element-wise over the longer length,
-// missing elements reading 0.
-func diffVec(vec1, vec2 []float64) []float64 {
-	n := len(vec1)
-	if len(vec2) > n {
-		n = len(vec2)
-	}
-	dv := make([]float64, n)
-	for i := 0; i < n; i++ {
+// differ differences the values of one column type. begin is called once
+// per output column with a visitor over the pairs sub will be called on.
+type differ[T any] interface {
+	begin(rows func(fn func(i int, x1, x2 T)))
+	sub(x1, x2 T) T
+}
+
+// scalarDiff differences scalar metrics.
+type scalarDiff struct{}
+
+func (scalarDiff) begin(func(func(int, float64, float64))) {}
+func (scalarDiff) sub(a, b float64) float64                { return b - a }
+
+// vecDiff differences vector metrics element-wise over the longer length,
+// missing elements reading 0. The vectors of one output column are carved
+// from one backing array, sized in begin.
+type vecDiff struct {
+	buf []float64
+}
+
+func (d *vecDiff) begin(rows func(func(int, []float64, []float64))) {
+	n := 0
+	rows(func(_ int, vec1, vec2 []float64) { n += max(len(vec1), len(vec2)) })
+	d.buf = make([]float64, n)
+}
+
+func (d *vecDiff) sub(vec1, vec2 []float64) []float64 {
+	n := max(len(vec1), len(vec2))
+	dv := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	for i := range dv {
 		var a, b float64
 		if i < len(vec1) {
 			a = vec1[i]

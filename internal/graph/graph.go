@@ -266,18 +266,34 @@ func (g *Graph) Leaves() []VertexID {
 // Clone returns a deep copy of g.
 func (g *Graph) Clone() *Graph {
 	c := New(len(g.vertices), len(g.edges))
-	for i := range g.vertices {
-		v := &g.vertices[i]
-		c.AddVertex(v.Name, v.Label)
-	}
-	for i := range g.edges {
-		e := &g.edges[i]
-		c.AddEdge(e.Src, e.Dst, e.Label)
-	}
+	c.copyStructure(g)
 	c.copyPropsFrom(g, 0, 0, func(v []float64) []float64 {
 		cv := make([]float64, len(v))
 		copy(cv, v)
 		return cv
 	})
 	return c
+}
+
+// copyStructure gives empty graph g src's vertices and edges (names,
+// labels, endpoints, IDs; no properties), as AddVertex and AddEdge in ID
+// order would, but carves the adjacency lists from one backing array per
+// direction instead of growing a slice per vertex.
+func (g *Graph) copyStructure(src *Graph) {
+	for i := range src.vertices {
+		v := &src.vertices[i]
+		g.AddVertex(v.Name, v.Label)
+	}
+	carve := func(lists, srcLists [][]EdgeID) {
+		buf := make([]EdgeID, len(src.edges))
+		for v, l := range srcLists {
+			lists[v], buf = buf[:0:len(l)], buf[len(l):]
+		}
+	}
+	carve(g.out, src.out)
+	carve(g.in, src.in)
+	for i := range src.edges {
+		e := &src.edges[i]
+		g.AddEdge(e.Src, e.Dst, e.Label)
+	}
 }

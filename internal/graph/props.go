@@ -259,6 +259,22 @@ func (g *Graph) VertexMetricColumn(m string) []float64 {
 	return nil
 }
 
+// WritableVertexMetric returns the value and presence slices of scalar
+// metric m, indexed by VertexID, creating the column if needed: setting
+// vals[v] and has[v] = true is what SetMetric does, so a writer folding many
+// values into one key pays the key lookup once instead of per vertex. The
+// slices are owned by the graph and valid until the next AddVertex.
+func (g *Graph) WritableVertexMetric(m string) (vals []float64, has []bool) {
+	c := g.vprops.scalar.col(g.vprops, m)
+	return c.vals, c.has
+}
+
+// WritableVertexVec is WritableVertexMetric for vector metric m.
+func (g *Graph) WritableVertexVec(m string) (vals [][]float64, has []bool) {
+	c := g.vprops.vec.col(g.vprops, m)
+	return c.vals, c.has
+}
+
 // EdgeMetricColumn returns scalar metric m of every edge, indexed by the
 // edge's column row — its ID, or in a DAG copy its source edge's ID — with
 // absent edges reading 0, or nil when no edge has m. Read-only, and valid

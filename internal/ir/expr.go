@@ -66,11 +66,16 @@ func (e Expr) Value(rank, nranks int) float64 {
 	if e.FactorLowRanks != 0 && rank < e.FactorLowCount {
 		v *= e.FactorLowRanks
 	}
-	if f, ok := e.Factor[rank]; ok {
-		v *= f
+	// Most expressions carry no per-rank terms; skip the map lookups.
+	if len(e.Factor) > 0 {
+		if f, ok := e.Factor[rank]; ok {
+			v *= f
+		}
 	}
-	if a, ok := e.Add[rank]; ok {
-		v += a
+	if len(e.Add) > 0 {
+		if a, ok := e.Add[rank]; ok {
+			v += a
+		}
 	}
 	return v
 }

@@ -179,18 +179,27 @@ func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) 
 	}
 
 	cct := trace.NewCCT()
+	reqs := requestIDs(p)
 	ranks := make([]*rankState, cfg.NRanks)
+	prevOps := 0
 	for r := 0; r < cfg.NRanks; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		fl := &flattener{prog: p, rank: r, nranks: cfg.NRanks, cfg: cfg, cct: cct}
+		// Ranks of one program flatten to similar op counts, so the
+		// previous rank's count sizes this rank's list.
+		fl := &flattener{prog: p, rank: r, nranks: cfg.NRanks, cfg: cfg, cct: cct, reqs: reqs,
+			ops: make([]op, 0, prevOps)}
 		entry := p.Function(p.Entry)
 		entryCtx := cct.Intern(trace.NoCtx, entry.ID())
 		if err := fl.nodes(entry.Body, entryCtx, 1); err != nil {
 			return nil, fmt.Errorf("rank %d: %w", r, err)
 		}
-		ranks[r] = &rankState{rank: r, ops: fl.ops, requests: map[string][]*request{}}
+		prevOps = len(fl.ops)
+		// Every op emits exactly one rank-level event; only parallel
+		// regions append more (their threads' events).
+		ranks[r] = &rankState{rank: r, ops: fl.ops, requests: map[int32][]*request{},
+			events: make([]trace.Event, 0, len(fl.ops))}
 	}
 
 	world := &world{
@@ -236,7 +245,7 @@ func RunCtx(ctx context.Context, p *ir.Program, cfg Config) (*trace.Run, error) 
 
 // ---- flattening ----
 
-type opKind int
+type opKind uint8
 
 const (
 	opCompute opKind = iota
@@ -246,23 +255,49 @@ const (
 	opDeviceSync
 )
 
+// op is one flattened operation. It holds no pointer or string, so a
+// rank's op list is one flat allocation the garbage collector never scans:
+// a parallel region or kernel is looked up from its node at step time, and
+// request names are interned to ints.
 type op struct {
-	kind opKind
-	node ir.NodeID
-	ctx  trace.CtxID
-
-	dur float64 // compute
+	// amount is the duration (µs) of a compute op and the message size
+	// (bytes) of a comm op.
+	amount float64
+	node   ir.NodeID
+	ctx    trace.CtxID
 
 	// comm
-	commOp ir.CommKind
-	peer   int
-	bytes  float64
-	tag    int
-	req    string
+	peer int32
+	tag  int32
+	req  int32 // interned request name; see requestIDs
 
-	region *ir.Parallel
-	kernel *ir.Kernel
-	stream int
+	stream int32 // kernel and device sync
+	kind   opKind
+	commOp uint8 // an ir.CommKind
+}
+
+// comm returns the MPI operation of a comm op.
+func (o *op) comm() ir.CommKind { return ir.CommKind(o.commOp) }
+
+// requestIDs interns the request names of p's comm nodes, indexed by node:
+// equal names share an id, numbered from 0. Sendrecv expansion takes fresh
+// negative ids instead (see pushSendrecv), so the two never collide.
+func requestIDs(p *ir.Program) []int32 {
+	ids := make([]int32, p.NumNodes())
+	names := map[string]int32{}
+	for id := range ids {
+		c, ok := p.Node(ir.NodeID(id)).(*ir.Comm)
+		if !ok {
+			continue
+		}
+		rid, ok := names[c.Req]
+		if !ok {
+			rid = int32(len(names))
+			names[c.Req] = rid
+		}
+		ids[id] = rid
+	}
+	return ids
 }
 
 type flattener struct {
@@ -271,8 +306,9 @@ type flattener struct {
 	nranks int
 	cfg    Config
 	cct    *trace.CCT
+	reqs   []int32 // request id per comm node
 	ops    []op
-	srSeq  int // unique request counter for Sendrecv expansion
+	srSeq  int32 // Sendrecv expansions so far
 }
 
 func (f *flattener) push(o op) error {
@@ -296,13 +332,13 @@ func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 	nodeCtx := f.cct.Intern(ctx, x.ID())
 	bytes := x.Bytes.Value(f.rank, f.nranks)
 	f.srSeq++
-	sreq := fmt.Sprintf("\x00sr%d.s", f.srSeq)
-	rreq := fmt.Sprintf("\x00sr%d.r", f.srSeq)
-	ops := []op{
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIsend, peer: sendPeer, bytes: bytes, tag: x.Tag, req: sreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommIrecv, peer: recvPeer, bytes: bytes, tag: x.Tag, req: rreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: recvPeer, req: rreq},
-		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: ir.CommWait, peer: sendPeer, req: sreq},
+	sreq, rreq := -2*f.srSeq, -2*f.srSeq+1
+	sp, rp, tag := int32(sendPeer), int32(recvPeer), int32(x.Tag)
+	ops := [4]op{
+		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: uint8(ir.CommIsend), peer: sp, amount: bytes, tag: tag, req: sreq},
+		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: uint8(ir.CommIrecv), peer: rp, amount: bytes, tag: tag, req: rreq},
+		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: uint8(ir.CommWait), peer: rp, req: rreq},
+		{kind: opComm, node: x.ID(), ctx: nodeCtx, commOp: uint8(ir.CommWait), peer: sp, req: sreq},
 	}
 	for _, o := range ops {
 		if err := f.push(o); err != nil {
@@ -323,8 +359,11 @@ func symmetricPartner(p ir.Peer, rank, nranks int) int {
 	case ir.PeerLeft:
 		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}.Resolve(rank, nranks)
 	case ir.PeerHalo2D:
-		inv := map[int]int{0: 1, 1: 0, 2: 3, 3: 2}
-		return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv[p.Arg]}.Resolve(rank, nranks)
+		inv := 0
+		if p.Arg >= 0 && p.Arg < 4 {
+			inv = p.Arg ^ 1 // 0 <-> 1, 2 <-> 3
+		}
+		return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv}.Resolve(rank, nranks)
 	default:
 		return p.Resolve(rank, nranks)
 	}
@@ -346,7 +385,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		if dur <= 0 {
 			return nil
 		}
-		return f.push(op{kind: opCompute, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), dur: dur})
+		return f.push(op{kind: opCompute, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), amount: dur})
 
 	case *ir.Loop:
 		trips := x.Trips.Value(f.rank, f.nranks)
@@ -381,7 +420,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 			if dur <= 0 {
 				return nil
 			}
-			return f.push(op{kind: opCompute, node: x.ID(), ctx: callCtx, dur: dur})
+			return f.push(op{kind: opCompute, node: x.ID(), ctx: callCtx, amount: dur})
 		}
 		callee := f.prog.Function(x.Callee)
 		if callee == nil {
@@ -395,8 +434,8 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		}
 		o := op{
 			kind: opComm, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()),
-			commOp: x.Op, tag: x.Tag, req: x.Req,
-			bytes: x.Bytes.Value(f.rank, f.nranks),
+			commOp: uint8(x.Op), tag: int32(x.Tag), req: f.reqs[x.ID()],
+			amount: x.Bytes.Value(f.rank, f.nranks),
 		}
 		o.peer = -1
 		switch x.Op {
@@ -410,7 +449,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 				}
 				break
 			}
-			o.peer = x.Peer.Resolve(f.rank, f.nranks)
+			o.peer = int32(x.Peer.Resolve(f.rank, f.nranks))
 			if o.peer < 0 {
 				return fmt.Errorf("mpisim: rank %d: %s at %s has no resolvable peer", f.rank, x.Op, x.Debug())
 			}
@@ -418,13 +457,13 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		return f.push(o)
 
 	case *ir.Parallel:
-		return f.push(op{kind: opRegion, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), region: x})
+		return f.push(op{kind: opRegion, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID())})
 
 	case *ir.Kernel:
-		return f.push(op{kind: opKernel, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), kernel: x, stream: x.Strm})
+		return f.push(op{kind: opKernel, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), stream: int32(x.Strm)})
 
 	case *ir.DeviceSync:
-		return f.push(op{kind: opDeviceSync, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), stream: x.Strm})
+		return f.push(op{kind: opDeviceSync, node: x.ID(), ctx: f.cct.Intern(ctx, x.ID()), stream: int32(x.Strm)})
 
 	case *ir.Mutex, *ir.Alloc:
 		// Lock and allocator traffic outside parallel regions is
@@ -441,7 +480,7 @@ func (f *flattener) node(n ir.Node, ctx trace.CtxID, mult float64) error {
 		if dur <= 0 {
 			return nil
 		}
-		return f.push(op{kind: opCompute, node: id, ctx: f.cct.Intern(ctx, id), dur: dur})
+		return f.push(op{kind: opCompute, node: id, ctx: f.cct.Intern(ctx, id), amount: dur})
 
 	default:
 		return fmt.Errorf("mpisim: unsupported node kind %q", n.Kind())
@@ -493,7 +532,7 @@ type recvPost struct {
 
 // request is an outstanding non-blocking operation of one rank.
 type request struct {
-	name  string
+	name  int32
 	node  ir.NodeID
 	ctx   trace.CtxID
 	op    ir.CommKind
@@ -531,7 +570,7 @@ type rankState struct {
 	events []trace.Event
 
 	// requests in flight, FIFO per name and a global order for Waitall.
-	requests map[string][]*request
+	requests map[int32][]*request
 	pending  []*request
 
 	// blocking p2p in progress: posted but unmatched.
@@ -539,7 +578,7 @@ type rankState struct {
 	postedRecv *recvPost
 
 	// GPU stream completion clocks (the CUDA extension).
-	streams map[int]float64
+	streams map[int32]float64
 
 	// collective in progress
 	collInstance int // index of next collective instance for this rank
@@ -595,7 +634,7 @@ func (w *world) degradeStalls() bool {
 		o := &rs.ops[rs.pc]
 		name := "compute"
 		if o.kind == opComm {
-			name = o.commOp.String()
+			name = o.comm().String()
 		}
 		rs.clock += timeout
 		w.status[rs.rank].Stalled = true
@@ -655,7 +694,7 @@ func (w *world) deadlock() error {
 				dbg = d.Debug()
 			}
 		}
-		name := o.commOp.String()
+		name := o.comm().String()
 		if o.kind != opComm {
 			name = "compute"
 		}
@@ -680,14 +719,15 @@ func (w *world) step(rs *rankState) bool {
 		rs.emit(trace.Event{
 			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindCompute,
 			Node: o.node, Ctx: o.ctx,
-			Start: rs.clock, End: rs.clock + o.dur,
+			Start: rs.clock, End: rs.clock + o.amount,
 		}, w.cfg)
-		rs.clock += o.dur
+		rs.clock += o.amount
 		rs.pc++
 		return true
 
 	case opRegion:
-		res, err := threadsim.Simulate(w.prog, o.region, rs.rank, w.cfg.NRanks, w.cfg.Threads, w.cct, o.ctx, rs.clock)
+		region := w.prog.Node(o.node).(*ir.Parallel)
+		res, err := threadsim.Simulate(w.prog, region, rs.rank, w.cfg.NRanks, w.cfg.Threads, w.cct, o.ctx, rs.clock)
 		if err != nil {
 			// Flattening validated the region body shape already; a failure
 			// here is a programming error in the workload model.
@@ -723,9 +763,9 @@ func (w *world) step(rs *rankState) bool {
 // work on the stream (including its transfers) and return after the launch
 // overhead, overlapping host execution until a DeviceSync.
 func (w *world) stepKernel(rs *rankState, o *op) {
-	k := o.kernel
+	k := w.prog.Node(o.node).(*ir.Kernel)
 	if rs.streams == nil {
-		rs.streams = map[int]float64{}
+		rs.streams = map[int32]float64{}
 	}
 	cost := k.Cost.Value(rs.rank, w.cfg.NRanks)
 	h2d := k.H2D.Value(rs.rank, w.cfg.NRanks) / w.cfg.GPUBandwidth
@@ -784,19 +824,19 @@ func (rs *rankState) emit(e trace.Event, cfg Config) {
 }
 
 func (w *world) stepComm(rs *rankState, o *op) bool {
-	switch o.commOp {
+	switch o.comm() {
 	case ir.CommIsend:
 		msg := w.postSend(rs, o)
 		rq := &request{
-			name: o.req, node: o.node, ctx: o.ctx, op: o.commOp,
-			peer: o.peer, bytes: o.bytes, post: rs.clock, msg: msg,
+			name: o.req, node: o.node, ctx: o.ctx, op: o.comm(),
+			peer: int(o.peer), bytes: o.amount, post: rs.clock, msg: msg,
 		}
 		rs.requests[o.req] = append(rs.requests[o.req], rq)
 		rs.pending = append(rs.pending, rq)
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
-			Peer: int32(o.peer), Bytes: o.bytes,
+			Peer: int32(o.peer), Bytes: o.amount,
 		}, w.cfg)
 		rs.pc++
 		return true
@@ -804,15 +844,15 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 	case ir.CommIrecv:
 		rp := w.postRecv(rs, o)
 		rq := &request{
-			name: o.req, node: o.node, ctx: o.ctx, op: o.commOp,
-			peer: o.peer, bytes: o.bytes, post: rs.clock, rp: rp,
+			name: o.req, node: o.node, ctx: o.ctx, op: o.comm(),
+			peer: int(o.peer), bytes: o.amount, post: rs.clock, rp: rp,
 		}
 		rs.requests[o.req] = append(rs.requests[o.req], rq)
 		rs.pending = append(rs.pending, rq)
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
-			Peer: int32(o.peer), Bytes: o.bytes,
+			Peer: int32(o.peer), Bytes: o.amount,
 		}, w.cfg)
 		rs.pc++
 		return true
@@ -824,20 +864,20 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 		msg := rs.postedSend
 		var end float64
 		if msg.eager {
-			end = msg.postTime + o.bytes/w.cfg.Bandwidth
+			end = msg.postTime + o.amount/w.cfg.Bandwidth
 		} else if msg.matched {
 			end = msg.completion
 		} else {
 			return false // rendezvous: receiver not there yet
 		}
-		wait := end - msg.postTime - w.cfg.transfer(o.bytes)
+		wait := end - msg.postTime - w.cfg.transfer(o.amount)
 		if wait < 0 {
 			wait = 0
 		}
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: msg.postTime, End: end, Wait: wait,
-			Peer: int32(o.peer), Bytes: o.bytes,
+			Peer: int32(o.peer), Bytes: o.amount,
 		}, w.cfg)
 		if !msg.eager && msg.matchedRecv != nil && wait > 0 {
 			rp := msg.matchedRecv
@@ -845,7 +885,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 				Kind:    trace.SyncRendezvous,
 				SrcRank: int32(rp.dstRank), SrcThread: -1, SrcNode: rp.dstNode,
 				DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
-				Time: end, Wait: wait, Bytes: o.bytes,
+				Time: end, Wait: wait, Bytes: o.amount,
 			})
 		}
 		rs.clock = end
@@ -862,27 +902,27 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			return false
 		}
 		end := rp.completion
-		wait := end - rp.postTime - w.cfg.transfer(o.bytes)
+		wait := end - rp.postTime - w.cfg.transfer(o.amount)
 		if wait < 0 {
 			wait = 0
 		}
 		// A wildcard receive learns its actual source at match time; record
 		// it so traces attribute the message to the real sender.
-		peer := o.peer
+		peer := int(o.peer)
 		if peer == anySource && rp.msg != nil {
 			peer = rp.msg.srcRank
 		}
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: rp.postTime, End: end, Wait: wait,
-			Peer: int32(peer), Bytes: o.bytes,
+			Peer: int32(peer), Bytes: o.amount,
 		}, w.cfg)
 		if rp.msg != nil {
 			w.syncs = append(w.syncs, trace.SyncEdge{
 				Kind:    trace.SyncMessage,
 				SrcRank: int32(rp.msg.srcRank), SrcThread: -1, SrcNode: rp.msg.srcNode,
 				DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
-				Time: end, Wait: wait, Bytes: o.bytes,
+				Time: end, Wait: wait, Bytes: o.amount,
 			})
 		}
 		rs.clock = end
@@ -896,7 +936,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			// Wait with no outstanding request completes immediately
 			// (matching MPI semantics for a null request).
 			rs.emit(trace.Event{
-				Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+				Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 				Node: o.node, Ctx: o.ctx, Start: rs.clock, End: rs.clock,
 			}, w.cfg)
 			rs.pc++
@@ -916,7 +956,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			waitPeer = rq.rp.msg.srcRank
 		}
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 			Wait: rs.clock - start, Peer: int32(waitPeer), Bytes: rq.bytes,
 		}, w.cfg)
@@ -942,7 +982,7 @@ func (w *world) stepComm(rs *rankState, o *op) bool {
 			rs.clock = latest
 		}
 		rs.emit(trace.Event{
-			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+			Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 			Node: o.node, Ctx: o.ctx, Start: start, End: rs.clock,
 			Wait: rs.clock - start, Peer: -1,
 		}, w.cfg)
@@ -965,12 +1005,12 @@ func (w *world) stepCollective(rs *rankState, o *op) bool {
 	if rs.waitingColl == nil {
 		// Arrive at this rank's next collective instance.
 		for len(w.colls) <= rs.collInstance {
-			w.colls = append(w.colls, &collective{op: o.commOp})
+			w.colls = append(w.colls, &collective{op: o.comm()})
 		}
 		coll := w.colls[rs.collInstance]
 		if coll.arrivals == 0 {
-			coll.op = o.commOp
-		} else if coll.op != o.commOp {
+			coll.op = o.comm()
+		} else if coll.op != o.comm() {
 			// Mismatched collectives: a real MPI program would hang or
 			// crash; surface it as a deadlock with context by refusing to
 			// progress this rank.
@@ -982,8 +1022,8 @@ func (w *world) stepCollective(rs *rankState, o *op) bool {
 			coll.maxArrRank = rs.rank
 			coll.maxArrNode = o.node
 		}
-		if o.bytes > coll.maxBytes {
-			coll.maxBytes = o.bytes
+		if o.amount > coll.maxBytes {
+			coll.maxBytes = o.amount
 		}
 		if coll.arrivals == len(w.ranks) {
 			coll.done = true
@@ -1005,16 +1045,16 @@ func (w *world) stepCollective(rs *rankState, o *op) bool {
 	}
 	rs.clock = coll.completion
 	rs.emit(trace.Event{
-		Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.commOp,
+		Rank: int32(rs.rank), Thread: -1, Kind: trace.KindComm, Op: o.comm(),
 		Node: o.node, Ctx: o.ctx, Start: start, End: coll.completion,
-		Wait: wait, Peer: -1, Bytes: o.bytes,
+		Wait: wait, Peer: -1, Bytes: o.amount,
 	}, w.cfg)
 	if rs.rank != coll.maxArrRank && wait > 0 {
 		w.syncs = append(w.syncs, trace.SyncEdge{
 			Kind:    trace.SyncCollective,
 			SrcRank: int32(coll.maxArrRank), SrcThread: -1, SrcNode: coll.maxArrNode,
 			DstRank: int32(rs.rank), DstThread: -1, DstNode: o.node,
-			Time: coll.completion, Wait: wait, Bytes: o.bytes,
+			Time: coll.completion, Wait: wait, Bytes: o.amount,
 		})
 	}
 	rs.waitingColl = nil
@@ -1068,18 +1108,18 @@ func (rs *rankState) removePending(rq *request) {
 // postSend deposits a send into the channel and matches FIFO if a receive
 // is already posted.
 func (w *world) postSend(rs *rankState, o *op) *message {
-	k := chanKey{src: rs.rank, dst: o.peer, tag: o.tag}
+	k := chanKey{src: rs.rank, dst: int(o.peer), tag: int(o.tag)}
 	msg := &message{
 		postTime: rs.clock,
-		bytes:    o.bytes,
-		eager:    o.bytes <= w.cfg.EagerThreshold,
+		bytes:    o.amount,
+		eager:    o.amount <= w.cfg.EagerThreshold,
 		srcRank:  rs.rank,
 		srcNode:  o.node,
 	}
 	if w.cfg.Faults != nil {
 		seq := w.dropSeq[k]
 		w.dropSeq[k] = seq + 1
-		if w.cfg.Faults.dropMessage(rs.rank, o.peer, o.tag, seq, rs.clock) {
+		if w.cfg.Faults.dropMessage(rs.rank, int(o.peer), int(o.tag), seq, rs.clock) {
 			// The payload vanishes: it never enters the channel, so the
 			// receiver blocks until stall resolution truncates it. The
 			// sender observes a timeout instead of a completion.
@@ -1091,7 +1131,7 @@ func (w *world) postSend(rs *rankState, o *op) *message {
 		}
 	}
 	if msg.eager {
-		msg.arrival = rs.clock + w.cfg.transfer(o.bytes)
+		msg.arrival = rs.clock + w.cfg.transfer(o.amount)
 	}
 	w.sends[k] = append(w.sends[k], msg)
 	w.match(k)
@@ -1105,12 +1145,12 @@ func (w *world) postSend(rs *rankState, o *op) *message {
 func (w *world) postRecv(rs *rankState, o *op) *recvPost {
 	rp := &recvPost{postTime: rs.clock, dstRank: rs.rank, dstNode: o.node}
 	if o.peer == anySource {
-		wk := wildKey{dst: rs.rank, tag: o.tag}
+		wk := wildKey{dst: rs.rank, tag: int(o.tag)}
 		w.wilds[wk] = append(w.wilds[wk], rp)
-		w.matchWild(rs.rank, o.tag)
+		w.matchWild(rs.rank, int(o.tag))
 		return rp
 	}
-	k := chanKey{src: o.peer, dst: rs.rank, tag: o.tag}
+	k := chanKey{src: int(o.peer), dst: rs.rank, tag: int(o.tag)}
 	w.recvs[k] = append(w.recvs[k], rp)
 	w.match(k)
 	return rp

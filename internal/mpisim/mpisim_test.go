@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -667,5 +668,48 @@ func TestGatherScatterCollectives(t *testing.T) {
 	})
 	if gathers != 4 || scatters != 4 {
 		t.Errorf("collective events: gather=%d scatter=%d", gathers, scatters)
+	}
+}
+
+// TestOpIsCompact: a flattened op holds no pointer or string, so op lists
+// are never scanned by the garbage collector, and it stays within 40 bytes.
+func TestOpIsCompact(t *testing.T) {
+	typ := reflect.TypeOf(op{})
+	if typ.Size() > 40 {
+		t.Errorf("op is %d bytes, want at most 40", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float64:
+		default:
+			t.Errorf("op field %s has kind %s", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestEventsPresized: without parallel regions every flattened op emits
+// exactly one event, so each rank's event list is allocated at its final
+// length.
+func TestEventsPresized(t *testing.T) {
+	p, err := ir.NewBuilder("presize").
+		Func("main", "m.c", 1, func(b *ir.Body) {
+			l := b.Loop("steps", 2, ir.Const(5), func(lb *ir.Body) {
+				lb.Compute("work", 3, ir.Expr{Base: 100, Factor: map[int]float64{1: 2}})
+				lb.Isend(4, ir.Peer{Kind: ir.PeerRight}, ir.Const(1024), 1, "s")
+				lb.Irecv(5, ir.Peer{Kind: ir.PeerLeft}, ir.Const(1024), 1, "r")
+				lb.Waitall(6)
+				lb.Allreduce(7, ir.Const(8))
+			})
+			l.CommPerIter = true
+		}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := mustRun(t, p, Config{NRanks: 4})
+	for r, evs := range run.Events {
+		if len(evs) != 25 || cap(evs) != len(evs) {
+			t.Errorf("rank %d: %d events in capacity %d, want 25 in 25", r, len(evs), cap(evs))
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"perflow/internal/ir"
 	"perflow/internal/mpisim"
 	"perflow/internal/workloads"
 )
@@ -65,7 +66,8 @@ func TestShardedBuildIdenticalWithThreads(t *testing.T) {
 
 // TestEmbedRunParallelIdenticalAcrossParallelism checks that sharded data
 // embedding produces the same top-down view at every worker count (the
-// shard merge is rank-ordered, so float accumulation order is fixed).
+// shard merge is rank-ordered, so float accumulation order is fixed),
+// including a worker count that leaves a short last batch.
 func TestEmbedRunParallelIdenticalAcrossParallelism(t *testing.T) {
 	prog, err := workloads.Get("zeusmp")
 	if err != nil {
@@ -81,9 +83,34 @@ func TestEmbedRunParallelIdenticalAcrossParallelism(t *testing.T) {
 		return serializePAG(t, td)
 	}
 	want := embed(1)
-	for _, par := range []int{2, 8} {
+	for _, par := range []int{2, 3, 8} {
 		if got := embed(par); !bytes.Equal(want, got) {
 			t.Fatalf("EmbedRunParallel at Parallelism=%d differs from sequential", par)
 		}
+	}
+}
+
+// TestEmbedLeavesUntouchedMetricsAbsent: embedding creates a metric column
+// only when some rank contributes to it, so a program without messages has
+// no bytes column at all, not an all-absent one.
+func TestEmbedLeavesUntouchedMetricsAbsent(t *testing.T) {
+	prog, err := ir.NewBuilder("computeonly").
+		Func("main", "m.c", 1, func(b *ir.Body) {
+			b.Compute("work", 2, ir.Const(10))
+		}).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := mpisim.Run(prog, mpisim.Config{NRanks: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	td := BuildTopDown(prog)
+	td.EmbedRunParallel(run, PMUModel{}, BuildOptions{Parallelism: 2})
+	if td.G.VertexMetricColumn(MetricBytes) != nil {
+		t.Error("bytes column exists without any message")
+	}
+	if td.G.VertexMetricColumn(MetricExclTime) == nil {
+		t.Error("no etime column after embedding compute events")
 	}
 }

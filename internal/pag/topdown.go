@@ -1,6 +1,7 @@
 package pag
 
 import (
+	"math/bits"
 	"runtime"
 
 	"perflow/internal/graph"
@@ -109,19 +110,10 @@ func (p *PAG) EmbedRun(run *trace.Run, pmu PMUModel) {
 	p.EmbedRunParallel(run, pmu, BuildOptions{Parallelism: 1})
 }
 
-// embedAcc accumulates one rank's metric contributions to one vertex. The
-// fixed field set mirrors exactly the metrics EmbedRun writes; the `set`
-// bitmask records which ones this rank touched, so the merge creates the
-// same metric keys (including explicit zeros) as direct accumulation.
-type embedAcc struct {
-	set                         uint16
-	excl, count, wait, bytes    float64
-	cycles, instrs, cmiss, time float64
-	waitVec, timeVec            float64 // this rank's slot of the _vec metrics
-}
-
+// Accumulator slots: one per metric embedding writes, named by embedKeys.
+// The last two are this rank's element of a per-rank vector metric.
 const (
-	accExcl = 1 << iota
+	accExcl = iota
 	accCount
 	accWait
 	accBytes
@@ -131,74 +123,124 @@ const (
 	accTime
 	accWaitVec
 	accTimeVec
+	numAccSlots
 )
 
-// EmbedRunParallel is EmbedRun with an explicit parallelism bound. Each
-// rank's events accumulate into a private shard — a flat per-vertex
-// accumulator array, so the hot loop does slice indexing instead of map
-// hashing — then shards merge in vertex order within rank order. Ranks
-// never share an accumulator slot and the shard phase only reads the PAG
-// (resolveCtx/VertexOf are pure lookups), so shards build concurrently.
-// Results are identical at every Parallelism setting; EmbedRun delegates
-// here, so the shard path is the only embedding path.
+// embedKeys names the metric each accumulator slot merges into.
+var embedKeys = [numAccSlots]string{
+	MetricExclTime, MetricCount, MetricWait, MetricBytes, MetricCycles,
+	MetricInstrs, MetricCacheMiss, MetricTime, MetricWait + "_vec", MetricTime + "_vec",
+}
+
+// embedAcc accumulates one rank's metric contributions to one vertex. The
+// `set` bitmask records which slots this rank touched, so the merge creates
+// the same metric keys (including explicit zeros) as direct accumulation.
+type embedAcc struct {
+	set uint16
+	v   [numAccSlots]float64
+}
+
+// embedShard is one worker's accumulator: a dense per-vertex array, so the
+// hot loop does slice indexing instead of map hashing, plus the vertices
+// the current rank touched, so merging and resetting cost what the rank
+// touched rather than the whole array.
+type embedShard struct {
+	accs    []embedAcc
+	touched []graph.VertexID
+}
+
+// at returns v's accumulator, recording v's first touch. Callers always set
+// at least one bit of the result.
+func (s *embedShard) at(v graph.VertexID) *embedAcc {
+	a := &s.accs[v]
+	if a.set == 0 {
+		s.touched = append(s.touched, v)
+	}
+	return a
+}
+
+// embedMerge folds shards into the PAG's metric columns. Each column is
+// resolved once per embedding, on first use, so a key no rank touched
+// stays absent.
+type embedMerge struct {
+	g        *graph.Graph
+	resolved uint16
+	has      [numAccSlots][]bool
+	scalar   [accWaitVec][]float64
+	vec      [numAccSlots - accWaitVec][][]float64
+}
+
+// merge adds one rank's shard to the columns and resets the shard. Ranks
+// merge in rank order, so every sum adds its terms in the same order at
+// every parallelism; a vector grows to rank+1 exactly as AddVecAt grows it.
+func (m *embedMerge) merge(s *embedShard, rank int) {
+	for _, v := range s.touched {
+		a := &s.accs[v]
+		for set := a.set; set != 0; set &= set - 1 {
+			k := bits.TrailingZeros16(set)
+			if m.resolved&(1<<k) == 0 {
+				if k < accWaitVec {
+					m.scalar[k], m.has[k] = m.g.WritableVertexMetric(embedKeys[k])
+				} else {
+					m.vec[k-accWaitVec], m.has[k] = m.g.WritableVertexVec(embedKeys[k])
+				}
+				m.resolved |= 1 << k
+			}
+			if k < accWaitVec {
+				m.scalar[k][v] += a.v[k]
+			} else {
+				vec := m.vec[k-accWaitVec][v]
+				for len(vec) <= rank {
+					vec = append(vec, 0)
+				}
+				vec[rank] += a.v[k]
+				m.vec[k-accWaitVec][v] = vec
+			}
+			m.has[k][v] = true
+		}
+		*a = embedAcc{}
+	}
+	s.touched = s.touched[:0]
+}
+
+// EmbedRunParallel is EmbedRun with an explicit parallelism bound. Ranks
+// embed in rank-ordered batches of at most Parallelism: each rank of a
+// batch folds its events into its own worker's accumulator (the fold only
+// reads the PAG: resolveCtx/VertexOf are pure lookups), then the batch
+// merges into the metric columns in rank order. At most one accumulator
+// per worker is alive at a time. Results are identical at every
+// Parallelism setting; EmbedRun delegates here, so this is the only
+// embedding path.
 func (p *PAG) EmbedRunParallel(run *trace.Run, pmu PMUModel, opts BuildOptions) {
 	pmu = pmu.withDefaults()
 	p.NRanks = run.NRanks
 	p.NThreads = run.ThreadsPerRank
+	nranks := len(run.Events)
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	workers = min(workers, nranks)
 	nv := p.G.NumVertices()
-	shards := make([][]embedAcc, len(run.Events))
-	forEachRank(len(shards), workers, func(r int) {
-		shards[r] = p.embedRankShard(run, r, nv, pmu)
-	})
-	for rank, accs := range shards {
-		for vi := range accs {
-			a := &accs[vi]
-			if a.set == 0 {
-				continue
-			}
-			v := p.G.Vertex(graph.VertexID(vi))
-			if a.set&accExcl != 0 {
-				v.AddMetric(MetricExclTime, a.excl)
-			}
-			if a.set&accCount != 0 {
-				v.AddMetric(MetricCount, a.count)
-			}
-			if a.set&accWait != 0 {
-				v.AddMetric(MetricWait, a.wait)
-			}
-			if a.set&accBytes != 0 {
-				v.AddMetric(MetricBytes, a.bytes)
-			}
-			if a.set&accCycles != 0 {
-				v.AddMetric(MetricCycles, a.cycles)
-			}
-			if a.set&accInstrs != 0 {
-				v.AddMetric(MetricInstrs, a.instrs)
-			}
-			if a.set&accCmiss != 0 {
-				v.AddMetric(MetricCacheMiss, a.cmiss)
-			}
-			if a.set&accTime != 0 {
-				v.AddMetric(MetricTime, a.time)
-			}
-			if a.set&accWaitVec != 0 {
-				v.AddVecAt(MetricWait+"_vec", rank, a.waitVec)
-			}
-			if a.set&accTimeVec != 0 {
-				v.AddVecAt(MetricTime+"_vec", rank, a.timeVec)
-			}
+	shards := make([]embedShard, workers)
+	for i := range shards {
+		shards[i].accs = make([]embedAcc, nv)
+	}
+	m := embedMerge{g: p.G}
+	for base := 0; base < nranks; base += workers {
+		n := min(workers, nranks-base)
+		forEachRank(n, n, func(i int) {
+			p.embedRank(run, base+i, &shards[i], pmu)
+		})
+		for i := range n {
+			m.merge(&shards[i], base+i)
 		}
 	}
 }
 
-// embedRankShard folds one rank's events into a fresh accumulator array,
-// mirroring the per-event logic of the paper's data-embedding step.
-func (p *PAG) embedRankShard(run *trace.Run, rank, nv int, pmu PMUModel) []embedAcc {
-	accs := make([]embedAcc, nv)
+// embedRank folds one rank's events into shard s, mirroring the per-event
+// logic of the paper's data-embedding step.
+func (p *PAG) embedRank(run *trace.Run, rank int, s *embedShard, pmu PMUModel) {
 	evs := run.Events[rank]
 	for i := range evs {
 		e := &evs[i]
@@ -206,27 +248,27 @@ func (p *PAG) embedRankShard(run *trace.Run, rank, nv int, pmu PMUModel) []embed
 		if leaf == graph.NoVertex {
 			continue
 		}
-		a := &accs[leaf]
+		a := s.at(leaf)
 		dur := e.Dur()
-		a.excl += dur
-		a.count++
-		a.set |= accExcl | accCount
+		a.v[accExcl] += dur
+		a.v[accCount]++
+		a.set |= 1<<accExcl | 1<<accCount
 		if e.Wait > 0 {
-			a.wait += e.Wait
-			a.waitVec += e.Wait
-			a.set |= accWait | accWaitVec
+			a.v[accWait] += e.Wait
+			a.v[accWaitVec] += e.Wait
+			a.set |= 1<<accWait | 1<<accWaitVec
 		}
 		if e.Bytes > 0 {
-			a.bytes += e.Bytes
-			a.set |= accBytes
+			a.v[accBytes] += e.Bytes
+			a.set |= 1 << accBytes
 		}
 		if e.Kind == trace.KindCompute {
-			a.cycles += dur * pmu.CyclesPerUS
-			a.set |= accCycles
+			a.v[accCycles] += dur * pmu.CyclesPerUS
+			a.set |= 1 << accCycles
 			if n, ok := p.Prog.Node(e.Node).(*ir.Compute); ok {
-				a.instrs += dur * n.Flops * pmu.InstrPerFlop * pmu.CyclesPerUS
-				a.cmiss += dur * n.MemBytes * pmu.CyclesPerUS / pmu.CacheLineBytes
-				a.set |= accInstrs | accCmiss
+				a.v[accInstrs] += dur * n.Flops * pmu.InstrPerFlop * pmu.CyclesPerUS
+				a.v[accCmiss] += dur * n.MemBytes * pmu.CyclesPerUS / pmu.CacheLineBytes
+				a.set |= 1<<accInstrs | 1<<accCmiss
 			}
 		}
 		// Inclusive time along the full calling context. Thread-level events
@@ -238,18 +280,17 @@ func (p *PAG) embedRankShard(run *trace.Run, rank, nv int, pmu PMUModel) []embed
 				if av == graph.NoVertex {
 					continue
 				}
-				aa := &accs[av]
-				aa.time += dur
-				aa.timeVec += dur
-				aa.set |= accTime | accTimeVec
+				aa := s.at(av)
+				aa.v[accTime] += dur
+				aa.v[accTimeVec] += dur
+				aa.set |= 1<<accTime | 1<<accTimeVec
 			}
 		} else {
-			a.time += dur
-			a.timeVec += dur
-			a.set |= accTime | accTimeVec
+			a.v[accTime] += dur
+			a.v[accTimeVec] += dur
+			a.set |= 1<<accTime | 1<<accTimeVec
 		}
 	}
-	return accs
 }
 
 // resolveCtx resolves an event to its top-down vertex by walking the

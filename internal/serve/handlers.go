@@ -163,10 +163,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request, tn *tenant
 		return
 	}
 
-	job, err := s.submit(req, tn)
+	_, view, err := s.submit(req, tn)
 	switch err {
 	case nil:
-		writeJSON(w, http.StatusAccepted, s.view(job, false))
+		writeJSON(w, http.StatusAccepted, view)
 	case ErrQueueFull:
 		// Backpressure: tell the client when a slot is plausibly free
 		// instead of accepting unbounded work.

@@ -30,6 +30,9 @@ func TestJournalRecoveryCompletesAckedJob(t *testing.T) {
 	storeDir, jnlDir := t.TempDir(), t.TempDir()
 
 	a := New(Options{Workers: 1, Store: diskStore(t, storeDir), JournalDir: jnlDir})
+	// Hold the job in its run until the kill cancels it, so it cannot
+	// finish (and journal its completion) before the crash.
+	a.testExecHook = func(j *Job) { <-j.runParent.Done() }
 	req := SubmitRequest{}
 	req.DSL = slowDSL(200)
 	req.Analysis = "profile"
@@ -39,7 +42,7 @@ func TestJournalRecoveryCompletesAckedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The accepted record is durable before Submit returns: killing right
-	// now — likely mid-queue or mid-run — must not lose the job.
+	// now — mid-queue or mid-run — must not lose the job.
 	a.Kill()
 
 	b := New(Options{Workers: 1, Store: diskStore(t, storeDir), JournalDir: jnlDir})
@@ -181,6 +184,9 @@ func TestRecoveryGatesReadiness(t *testing.T) {
 	storeDir, jnlDir := t.TempDir(), t.TempDir()
 
 	a := New(Options{Workers: 1, Store: diskStore(t, storeDir), JournalDir: jnlDir})
+	// As in TestJournalRecoveryCompletesAckedJob: the job must not finish
+	// before the kill.
+	a.testExecHook = func(j *Job) { <-j.runParent.Done() }
 	req := SubmitRequest{}
 	req.DSL = slowDSL(500)
 	req.Analysis = "profile"

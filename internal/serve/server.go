@@ -513,17 +513,18 @@ func (s *Server) validate(req SubmitRequest) (SubmitRequest, []lint.Diagnostic, 
 // the shard its content address hashes to, charging the tenant's quota.
 // With journaling enabled, the accepted record is fsynced before the
 // enqueue — the job is durable before it is runnable, so a crash at any
-// point after this returns leaves a recoverable record.
-func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
+// point after this returns leaves a recoverable record. It also returns
+// the job's view at acceptance, rendered under the same lock.
+func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		return nil, ErrDraining
+		return nil, JobView{}, ErrDraining
 	}
 	if tn.cfg.Quota > 0 && tn.inflight >= tn.cfg.Quota {
 		s.m.jobsQuotaRejected.Add(1)
 		s.m.tenantRejected(tn.cfg.Name)
-		return nil, ErrQuotaExceeded
+		return nil, JobView{}, ErrQuotaExceeded
 	}
 	key := req.Key()
 	sh := s.shards[shardOf(key, len(s.shards))]
@@ -536,7 +537,7 @@ func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
 		if waitUS > req.TimeoutMS*1000 {
 			s.m.jobsDeadlineRejected.Add(1)
 			s.m.tenantRejected(tn.cfg.Name)
-			return nil, ErrDeadlineUnmeetable
+			return nil, JobView{}, ErrDeadlineUnmeetable
 		}
 	}
 	s.seq++
@@ -567,7 +568,7 @@ func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
 		}
 		if jerr != nil {
 			cancel()
-			return nil, fmt.Errorf("serve: journal append: %w", jerr)
+			return nil, JobView{}, fmt.Errorf("serve: journal append: %w", jerr)
 		}
 	}
 	// Reserve the queue slot while still holding the lock, so Drain cannot
@@ -582,14 +583,16 @@ func (s *Server) submit(req SubmitRequest, tn *tenantState) (*Job, error) {
 			s.m.jobsRejected.Add(1)
 			s.m.tenantRejected(tn.cfg.Name)
 		}
-		return nil, err
+		return nil, JobView{}, err
 	}
 	tn.inflight++
 	s.registerLocked(job)
 	s.m.jobsSubmitted.Add(1)
 	s.m.jobsQueued.Add(1)
 	s.m.tenantSubmitted(tn.cfg.Name)
-	return job, nil
+	// Render the acceptance view before a worker can take the job: once
+	// s.mu is released the job may already be running.
+	return job, s.viewLocked(job, false), nil
 }
 
 // Submit validates and enqueues a request through the same path as POST
@@ -634,7 +637,8 @@ func (s *Server) Submit(req SubmitRequest, tenant string) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.submit(req, tn)
+	job, _, err := s.submit(req, tn)
+	return job, err
 }
 
 // Await blocks until the job is terminal (or ctx expires) and returns its
