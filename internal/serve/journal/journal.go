@@ -13,29 +13,27 @@
 // because results are keyed by content address, a duplicate execution is
 // observationally idempotent.
 //
-// On-disk format (journal.wal):
-//
-//	header:  magic "PFJ1" (4 bytes) | version uint32 (little-endian)
-//	record:  length uint32 | crc32(payload) uint32 | payload (JSON Record)
+// On-disk format (journal.wal): an internal/frame file with magic "PFJ1",
+// version 1, and one record per transition whose payload is the JSON
+// Record. These bytes are the format's contract: a journal written by one
+// version of the server replays under the next.
 //
 // Every append is fsynced before returning, so an acknowledged submission
 // survives power loss. A torn tail (crash mid-append) fails its CRC or
-// length check and is truncated on the next open — everything before it
-// replays intact, which is exactly the write-ahead contract: the journal
-// never acknowledges what it cannot replay.
+// length check and the next open's compaction drops it — everything before
+// it replays intact, which is exactly the write-ahead contract: the
+// journal never acknowledges what it cannot replay.
 package journal
 
 import (
-	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
+
+	"perflow/internal/frame"
 )
 
 // States a record can carry. Accepted marks intake; the other three are
@@ -88,13 +86,8 @@ type Entry struct {
 var walMagic = [4]byte{'P', 'F', 'J', '1'}
 
 const (
-	walVersion   = 1
-	walHeaderLen = 8
-	frameLen     = 8 // length uint32 | crc uint32
-	// maxRecordLen bounds a frame's declared length against a corrupt or
-	// hostile header claiming gigabytes.
-	maxRecordLen = 16 << 20
-	walName      = "journal.wal"
+	walVersion = 1
+	walName    = "journal.wal"
 )
 
 // Journal is an open write-ahead job journal. Appends are serialized and
@@ -102,23 +95,21 @@ const (
 type Journal struct {
 	mu     sync.Mutex
 	f      *os.File
-	path   string
 	frozen bool
 	// records counts appends over the journal's lifetime (including
 	// compaction rewrites), for /metrics.
 	records int64
 }
 
-// Open replays (creating if needed) the journal under dir and compacts it:
+// Open replays (creating if needed) the journal under dir and compacts it,
+// after sweeping the temp files a crash mid-compaction left behind:
 // jobs with terminal records are dropped, and each incomplete job is
 // rewritten as a single accepted record preserving its original Seq and
 // Request. It returns the open journal, the incomplete jobs in Seq order,
 // and the highest Seq ever seen (0 when the journal was empty) so the
 // server can resume its job numbering above it.
 func Open(dir string) (*Journal, []Entry, uint64, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, 0, fmt.Errorf("journal: %w", err)
-	}
+	frame.SweepTemp(dir)
 	path := filepath.Join(dir, walName)
 	recs, err := replay(path)
 	if err != nil {
@@ -156,60 +147,51 @@ func Open(dir string) (*Journal, []Entry, uint64, error) {
 	}
 	sort.Slice(incomplete, func(i, j int) bool { return incomplete[i].Seq < incomplete[j].Seq })
 
-	// Compact: rewrite the log as just the incomplete jobs' accepted
-	// records, through the same durable temp+rename discipline as the disk
-	// store, then reopen for appending.
-	j := &Journal{path: path}
-	if err := j.rewrite(incomplete); err != nil {
-		return nil, nil, 0, err
+	// Compact: durably rewrite the log as just the incomplete jobs'
+	// accepted records, then reopen it for appending.
+	buf := frame.AppendHeader(nil, walMagic, walVersion)
+	for _, e := range incomplete {
+		payload, err := json.Marshal(Record{Seq: e.Seq, Job: e.Job, Key: e.Key, Tenant: e.Tenant, State: StateAccepted, Request: e.Request})
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("journal: marshal: %w", err)
+		}
+		buf = frame.AppendRecord(buf, payload)
+	}
+	if err := frame.WriteFile(path, buf); err != nil {
+		return nil, nil, 0, fmt.Errorf("journal: rewrite: %w", err)
 	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("journal: reopen: %w", err)
 	}
-	j.f = f
-	return j, incomplete, maxSeq, nil
+	return &Journal{f: f, records: int64(len(incomplete))}, incomplete, maxSeq, nil
 }
 
-// replay reads every intact record from path, truncating a torn tail in
-// place. A missing file is an empty journal.
+// replay reads every intact record from path, stopping at the first torn
+// or corrupt one; the compaction that follows drops the tail. A missing
+// file is an empty journal.
 func replay(path string) ([]Record, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("journal: open: %w", err)
 	}
-	defer f.Close()
-
-	br := bufio.NewReader(f)
-	header := make([]byte, walHeaderLen)
-	if _, err := io.ReadFull(br, header); err != nil {
+	body, err := frame.ReadHeader(buf, walMagic, walVersion)
+	if err == frame.ErrShort {
 		// Even the header is torn: treat as empty, rewrite will fix it.
 		return nil, nil
 	}
-	if [4]byte(header[0:4]) != walMagic || binary.LittleEndian.Uint32(header[4:8]) != walVersion {
+	if err != nil {
 		return nil, fmt.Errorf("journal: %s is not a v%d journal", path, walVersion)
 	}
-
 	var recs []Record
-	frame := make([]byte, frameLen)
+	rd := frame.NewReader(body)
 	for {
-		if _, err := io.ReadFull(br, frame); err != nil {
-			break // clean EOF or torn frame header: stop replaying here
-		}
-		n := binary.LittleEndian.Uint32(frame[0:4])
-		crc := binary.LittleEndian.Uint32(frame[4:8])
-		if n == 0 || n > maxRecordLen {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			break // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // torn or corrupted record; nothing after it is trusted
+		payload, err := rd.Next()
+		if err != nil {
+			break // clean end, torn tail or corrupt record: nothing after it is trusted
 		}
 		var r Record
 		if err := json.Unmarshal(payload, &r); err != nil {
@@ -220,74 +202,16 @@ func replay(path string) ([]Record, error) {
 	return recs, nil
 }
 
-// rewrite replaces the journal file with a compacted image holding just
-// the given entries as accepted records, durably (temp, fsync, rename,
-// dir fsync).
-func (j *Journal) rewrite(entries []Entry) error {
-	dir := filepath.Dir(j.path)
-	tmp, err := os.CreateTemp(dir, ".tmp-wal-*")
-	if err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	bw := bufio.NewWriter(tmp)
-	header := make([]byte, walHeaderLen)
-	copy(header[0:4], walMagic[:])
-	binary.LittleEndian.PutUint32(header[4:8], walVersion)
-	bw.Write(header)
-	for _, e := range entries {
-		rec := Record{Seq: e.Seq, Job: e.Job, Key: e.Key, Tenant: e.Tenant, State: StateAccepted, Request: e.Request}
-		frame, err := encodeRecord(rec)
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return err
-		}
-		bw.Write(frame)
-		j.records++
-	}
-	werr := bw.Flush()
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmp.Name(), j.path)
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("journal: rewrite: %w", werr)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// encodeRecord frames a record: length | crc32 | JSON payload.
-func encodeRecord(r Record) ([]byte, error) {
-	payload, err := json.Marshal(r)
-	if err != nil {
-		return nil, fmt.Errorf("journal: marshal: %w", err)
-	}
-	buf := make([]byte, frameLen+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[frameLen:], payload)
-	return buf, nil
-}
-
 // Append durably writes one record: the call does not return success until
 // the bytes are fsynced. On a frozen journal it silently drops the record
 // — that is the simulated-SIGKILL boundary, where a real process would
 // already be dead.
 func (j *Journal) Append(r Record) error {
-	buf, err := encodeRecord(r)
+	payload, err := json.Marshal(r)
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: marshal: %w", err)
 	}
+	buf := frame.AppendRecord(make([]byte, 0, frame.RecordHeaderLen+len(payload)), payload)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.frozen || j.f == nil {

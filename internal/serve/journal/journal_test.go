@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"perflow/internal/frame"
 )
 
 func mustOpen(t *testing.T, dir string) (*Journal, []Entry, uint64) {
@@ -62,11 +64,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalTornTailTruncated appends records, then corrupts the tail the
-// way a crash mid-append would, and checks replay keeps everything before
-// the tear and drops the tear itself.
+// TestJournalTornTailTruncated appends records, then tears the tail the
+// way a crash mid-append would, cutting at every offset inside the last
+// record, and checks replay keeps everything before the tear and drops the
+// tear itself.
 func TestJournalTornTailTruncated(t *testing.T) {
-	for _, cut := range []int{1, 3, 7, 11} {
+	last, err := json.Marshal(accepted(2, `{"b":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cut := 1; cut <= frame.RecordHeaderLen+len(last); cut++ {
 		t.Run(fmt.Sprintf("cut%d", cut), func(t *testing.T) {
 			dir := t.TempDir()
 			j, _, _ := mustOpen(t, dir)
@@ -75,7 +82,7 @@ func TestJournalTornTailTruncated(t *testing.T) {
 			j.Close()
 
 			// Tear the file: chop `cut` bytes off the end, leaving record 2's
-			// frame or payload incomplete.
+			// header or payload incomplete.
 			path := filepath.Join(dir, walName)
 			buf, err := os.ReadFile(path)
 			if err != nil {
@@ -239,5 +246,26 @@ func TestJournalWrongMagicRejected(t *testing.T) {
 	}
 	if _, _, _, err := Open(dir); err == nil {
 		t.Fatal("foreign file accepted as journal")
+	}
+}
+
+// TestJournalSweepsStrandedTemp plants the temp file a crash mid-compaction
+// strands: the next open removes it and replays the journal as before.
+func TestJournalSweepsStrandedTemp(t *testing.T) {
+	dir := t.TempDir()
+	j, _, _ := mustOpen(t, dir)
+	j.Append(accepted(1, `{}`))
+	j.Close()
+	stranded := filepath.Join(dir, ".tmp-wal-x")
+	if err := os.WriteFile(stranded, []byte("half a compaction"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, inc, _ := mustOpen(t, dir)
+	defer j2.Close()
+	if _, err := os.Stat(stranded); !os.IsNotExist(err) {
+		t.Error("stranded compaction temp file survived reopen")
+	}
+	if len(inc) != 1 || inc[0].Job != "job-1" {
+		t.Errorf("incomplete = %+v, want job-1", inc)
 	}
 }

@@ -5,25 +5,28 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"perflow/internal/frame"
 )
 
 // Disk is the shared on-disk store: one content-addressed file per entry,
-// fanned out over 256 two-hex-digit subdirectories, every read validated
-// against a CRC32 recorded at write time. Because the file name is a pure
-// function of the key, several server replicas pointed at the same
-// directory share hits, and a restarted server finds its warm set on the
-// next Get. Writes are durable (fsync before an atomic rename, then a
-// directory fsync) so an acknowledged result survives a crash.
+// fanned out over 256 two-hex-digit subdirectories. Because the file name
+// is a pure function of the key, several server replicas pointed at the
+// same directory share hits, and a restarted server finds its warm set on
+// the next Get. Writes go through frame.WriteFile, so an acknowledged
+// result survives a crash.
 //
-// A failed CRC check means torn or bit-rotted data: the entry is deleted
-// and the read reported as a miss, so the caller falls through to
-// recompute — the store never serves garbage. Genuine I/O failures (as
+// A file is an internal/frame header (magic "PFS1", version 2), a key
+// header and the value. A file whose headers fail (an older layout, a torn
+// header, a foreign file squatting on the path) is deleted and read as a
+// miss, so the caller recomputes. The value is the caller's to check: the
+// serve cache's envelope is one CRC-checked record, the one check that
+// also sees a value torn above this store. Genuine I/O failures (as
 // opposed to misses) are surfaced as wrapped ErrUnavailable so a breaker
 // in front can degrade instead of thrashing.
 type Disk struct {
@@ -43,18 +46,11 @@ type diskEntry struct {
 	seq  uint64
 }
 
-// diskMagic marks a store file; bumping it invalidates old layouts.
+// diskMagic and diskVersion mark a store file. Version 1 files carried a
+// CRC where the version now sits, so they read as an unknown version.
 var diskMagic = [4]byte{'P', 'F', 'S', '1'}
 
-// diskHeaderLen is magic (4) + crc32 (4) + keylen (4).
-const diskHeaderLen = 12
-
-// maxKeyLen bounds the stored key header against hostile files.
-const maxKeyLen = 4096
-
-// tmpPrefix marks in-flight commit files; a crash between CreateTemp and
-// the rename strands one, and the startup sweep reclaims it.
-const tmpPrefix = ".tmp-"
+const diskVersion = 2
 
 // NewDisk opens (creating if needed) a disk store rooted at dir with the
 // given payload byte budget. Orphaned temp files from a previous process
@@ -67,28 +63,11 @@ func NewDisk(dir string, budget int64) (*Disk, error) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	d := &Disk{dir: dir, budget: budget, index: make(map[string]*diskEntry)}
-	if err := d.sweepTemp(); err != nil {
-		return nil, err
-	}
+	frame.SweepTemp(dir)
 	if err := d.rescan(); err != nil {
 		return nil, err
 	}
 	return d, nil
-}
-
-// sweepTemp deletes every stranded commit temp file under the store root.
-// Temp files are only ever live inside a writeDurable call of a running
-// process; at open time any survivor is an orphan from a crash.
-func (d *Disk) sweepTemp() error {
-	return filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() {
-			return nil
-		}
-		if strings.HasPrefix(de.Name(), tmpPrefix) {
-			os.Remove(path)
-		}
-		return nil
-	})
 }
 
 // path maps a key to its file: the key itself when it is already a
@@ -117,32 +96,25 @@ func isHex64(s string) bool {
 	return true
 }
 
-// encode renders the file image: magic | crc32(keylen|key|payload) |
-// keylen | key | payload.
+// encode renders the file image: frame header | keylen uint32 | key | val.
 func encode(key string, val []byte) []byte {
-	buf := make([]byte, diskHeaderLen+len(key)+len(val))
-	copy(buf[0:4], diskMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(key)))
-	copy(buf[diskHeaderLen:], key)
-	copy(buf[diskHeaderLen+len(key):], val)
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(buf[8:]))
-	return buf
+	buf := frame.AppendHeader(make([]byte, 0, frame.HeaderLen+4+len(key)+len(val)), diskMagic, diskVersion)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(key)))
+	buf = append(buf, key...)
+	return append(buf, val...)
 }
 
-// decode validates a file image and returns its key and payload.
-func decode(buf []byte) (key string, val []byte, err error) {
-	if len(buf) < diskHeaderLen || [4]byte(buf[0:4]) != diskMagic {
-		return "", nil, fmt.Errorf("bad magic")
+// decode checks a file image's headers and returns its key and value.
+func decode(buf []byte) (key string, val []byte, ok bool) {
+	rest, err := frame.ReadHeader(buf, diskMagic, diskVersion)
+	if err != nil || len(rest) < 4 {
+		return "", nil, false
 	}
-	keyLen := binary.LittleEndian.Uint32(buf[8:12])
-	if keyLen > maxKeyLen || diskHeaderLen+int(keyLen) > len(buf) {
-		return "", nil, fmt.Errorf("bad key length %d", keyLen)
+	n := uint64(binary.LittleEndian.Uint32(rest))
+	if 4+n > uint64(len(rest)) {
+		return "", nil, false
 	}
-	if crc32.ChecksumIEEE(buf[8:]) != binary.LittleEndian.Uint32(buf[4:8]) {
-		return "", nil, fmt.Errorf("crc mismatch")
-	}
-	key = string(buf[diskHeaderLen : diskHeaderLen+keyLen])
-	return key, buf[diskHeaderLen+int(keyLen):], nil
+	return string(rest[4 : 4+n]), rest[4+n:], true
 }
 
 // Get reads and validates the entry's file. Unknown keys probe the
@@ -162,10 +134,10 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 		d.errors++
 		return nil, false, fmt.Errorf("%w: read %s: %v", ErrUnavailable, key[:min(8, len(key))], err)
 	}
-	fileKey, val, derr := decode(buf)
-	if derr != nil || fileKey != key {
-		// Torn write, bit rot, or a foreign file squatting on the path:
-		// discard and miss, never serve it.
+	fileKey, val, ok := decode(buf)
+	if !ok || fileKey != key {
+		// A torn header, an older layout, or a foreign file squatting on
+		// the path: discard and miss, never serve it.
 		os.Remove(d.path(key))
 		d.mu.Lock()
 		d.corrupt++
@@ -181,17 +153,16 @@ func (d *Disk) Get(key string) ([]byte, bool, error) {
 	return val, true, nil
 }
 
-// Put durably writes the entry (temp file, fsync, atomic rename, directory
-// fsync), then evicts least-recently-used entries past the byte budget.
-// The file write happens outside the index lock so concurrent Puts overlap
-// their I/O. A failed write surfaces as a backend error — callers (the
-// breaker, the retry engine) decide whether to fall back or retry.
+// Put durably writes the entry (frame.WriteFile), then evicts
+// least-recently-used entries past the byte budget. The file write happens
+// outside the index lock so concurrent Puts overlap their I/O. A failed
+// write surfaces as a backend error — callers (the breaker, the retry
+// engine) decide whether to fall back or retry.
 func (d *Disk) Put(key string, val []byte) error {
 	if int64(len(val)) > d.budget {
 		return nil
 	}
-	path := d.path(key)
-	if err := writeDurable(path, encode(key, val)); err != nil {
+	if err := frame.WriteFile(d.path(key), encode(key, val)); err != nil {
 		d.mu.Lock()
 		d.errors++
 		d.mu.Unlock()
@@ -205,46 +176,6 @@ func (d *Disk) Put(key string, val []byte) error {
 		os.Remove(d.path(v))
 	}
 	return nil
-}
-
-// writeDurable writes buf next to path and renames it into place after an
-// fsync, then fsyncs the parent directory: without the directory sync the
-// rename itself may not survive a crash, and an acknowledged entry could
-// silently vanish. A crash at any point leaves either the old entry or the
-// new one — never a torn file under the content address (at worst a
-// stranded temp file, reclaimed by the next open's sweep).
-func writeDurable(path string, buf []byte) error {
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), tmpPrefix+"*")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(buf)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		os.Remove(tmp.Name())
-		return werr
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	serr := dir.Sync()
-	if cerr := dir.Close(); serr == nil {
-		serr = cerr
-	}
-	return serr
 }
 
 // Delete removes the entry and its file.
@@ -355,15 +286,15 @@ func (d *Disk) evictLocked(keep string) []string {
 // the next open's sweep.
 func (d *Disk) rescan() error {
 	return filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() || strings.HasPrefix(de.Name(), tmpPrefix) {
+		if err != nil || de.IsDir() || strings.HasPrefix(de.Name(), frame.TempPrefix) {
 			return nil // a vanished file or unreadable subdir is not fatal
 		}
 		buf, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return nil
 		}
-		key, val, derr := decode(buf)
-		if derr != nil {
+		key, val, ok := decode(buf)
+		if !ok {
 			os.Remove(path)
 			d.mu.Lock()
 			d.corrupt++

@@ -3,11 +3,15 @@ package store
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"perflow/internal/frame"
 )
 
 // hexKey builds a 64-hex content address like the serve cache keys.
@@ -98,46 +102,36 @@ func TestDifferentialMemoryVsDisk(t *testing.T) {
 	}
 }
 
-// TestDiskCorruptionFallsThrough flips one payload byte on disk and checks
-// the CRC catches it: the read misses (so the caller recomputes), the file
-// is discarded, and the corruption is counted — garbage is never served.
-func TestDiskCorruptionFallsThrough(t *testing.T) {
+// TestDiskParentFormatIsDiscarded plants a file in the version 1 layout
+// (magic | crc32(keylen|key|payload) | keylen | key | payload): the entry
+// was written by an older server, so it reads as a clean miss, is deleted
+// and counted, and the key is recomputed.
+func TestDiskParentFormatIsDiscarded(t *testing.T) {
 	dir := t.TempDir()
+	key := hexKey("legacy")
+	body := binary.LittleEndian.AppendUint32(nil, uint32(len(key)))
+	body = append(append(body, key...), val("old", 64)...)
+	file := append([]byte("PFS1"), binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(body))...)
+	file = append(file, body...)
+	path := filepath.Join(dir, key[:2], key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, file, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	d, err := NewDisk(dir, 1<<20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := hexKey("victim")
-	want := val("payload", 512)
-	d.Put(key, want)
-	if got, ok := mustGet(t, d, key); !ok || !bytes.Equal(got, want) {
-		t.Fatal("clean entry unreadable")
-	}
-
-	// Flip a byte near the end of the payload, behind the CRC's back.
-	path := filepath.Join(dir, key[:2], key)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[len(buf)-5] ^= 0xff
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, ok := mustGet(t, d, key); ok {
-		t.Fatalf("corrupt entry served: %d bytes", len(got))
-	}
-	if st := d.Stats(); st.Corrupt != 1 {
-		t.Errorf("corrupt counter = %d, want 1", st.Corrupt)
+	if _, ok := mustGet(t, d, key); ok {
+		t.Fatal("version 1 file served")
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("corrupt file not discarded")
+		t.Error("version 1 file not deleted")
 	}
-	// The slot is reusable: a fresh Put serves again.
-	d.Put(key, want)
-	if got, ok := mustGet(t, d, key); !ok || !bytes.Equal(got, want) {
-		t.Error("re-put after corruption unreadable")
+	if st := d.Stats(); st.Corrupt != 1 || st.Entries != 0 {
+		t.Errorf("corrupt/entries = %d/%d, want 1/0", st.Corrupt, st.Entries)
 	}
 }
 
@@ -224,7 +218,7 @@ func TestDiskSweepsOrphanedTemp(t *testing.T) {
 	// Simulate a crash between CreateTemp+fsync and the rename: a fully
 	// valid entry image sitting under a temp name.
 	sub := filepath.Join(dir, key[:2])
-	orphan := filepath.Join(sub, tmpPrefix+"123456")
+	orphan := filepath.Join(sub, frame.TempPrefix+"123456")
 	if err := os.WriteFile(orphan, encode(hexKey("ghost"), val("g", 32)), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,35 +1,52 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"strings"
 
+	"perflow/internal/frame"
 	"perflow/internal/ir"
 )
 
-// Framed trace encoding (TRC2): the same fixed-size event records as the
-// TRC1 format, but each rank's stream is written as an independent frame
-// carrying its own CRC32. Corruption or truncation therefore damages at
-// most the frames it touches, and Salvage can recover the valid event
-// prefix of a damaged frame plus every intact frame after it — which is
-// what real collection infrastructure has to do when a node dies mid-run
-// and leaves a half-written trace file behind.
+// Framed trace encoding (TRC2): each rank's event stream is an
+// independent internal/frame record carrying its own CRC32. Corruption or
+// truncation therefore damages at most the records it touches, and Salvage
+// can recover the valid event prefix of a damaged record plus every intact
+// record after it — which is what real collection infrastructure has to do
+// when a node dies mid-run and leaves a half-written trace file behind.
 //
-//	header:  magic "TRC2"(4) version(4) nStreams(4) nRanks(4)
-//	frame:   count(4) count*58-byte events crc32(4)
-//
-// The CRC covers the count field and the event payload, little-endian
-// IEEE, so a flipped count is detected rather than trusted.
+//	header:  frame header, magic "2CRT", version 2
+//	record:  nStreams uint32 | nRanks uint32
+//	record:  one per stream, its events at eventWireSize bytes each
+
+// framedMagic is 0x54524332 ("TRC2") little-endian, as version 1 (its own
+// count-prefixed frames) wrote it, so Salvage refuses a version 1 trace by
+// its version.
+var framedMagic = [4]byte{'2', 'C', 'R', 'T'}
 
 const (
-	framedMagic   = 0x54524332 // "TRC2"
-	framedVersion = 1
+	framedVersion = 2
+	// eventWireSize is the fixed per-event payload: rank(4) thread(4)
+	// kind(1) op(1) node(4) ctx(4) start(8) end(8) wait(8) peer(4)
+	// bytes(8) count(4).
+	eventWireSize = 58
+	// maxDecodeRanks bounds the rank and stream counts Salvage accepts and
+	// every event's Rank field.
+	maxDecodeRanks = 1 << 20
 )
+
+// EncodedSize is the storage-cost model of a trace: a 16-byte header,
+// eventWireSize bytes per event and 4 bytes per stream. It is not a wire
+// format; it is what "storage cost of a trace" means in this repo, the
+// Scalasca-like baseline's side of the paper's §5.3 comparison (57.64 GB
+// of traces vs 2.4 MB of PAG). FramedSize is the size of the TRC2 bytes
+// Salvage reads.
+func (r *Run) EncodedSize() int64 {
+	return int64(16) + int64(r.NumEvents())*eventWireSize + int64(len(r.Events))*4
+}
 
 // Salvage condition strings, stable for tests and reports.
 const (
@@ -41,47 +58,30 @@ const (
 
 // FramedSize returns the exact number of bytes EncodeFramed would write.
 func (r *Run) FramedSize() int64 {
-	return int64(16) + int64(r.NumEvents())*eventWireSize + int64(len(r.Events))*8
+	return frame.HeaderLen + frame.RecordHeaderLen + 8 +
+		int64(r.NumEvents())*eventWireSize + int64(len(r.Events))*frame.RecordHeaderLen
 }
 
 // EncodeFramed writes the run's event streams in the TRC2 framed format
 // and returns the byte count.
 func (r *Run) EncodeFramed(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	var buf [eventWireSize]byte
-	put := func(b []byte) error {
-		m, err := bw.Write(b)
-		n += int64(m)
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[0:], framedMagic)
-	binary.LittleEndian.PutUint32(buf[4:], framedVersion)
-	binary.LittleEndian.PutUint32(buf[8:], uint32(len(r.Events)))
-	binary.LittleEndian.PutUint32(buf[12:], uint32(r.NRanks))
-	if err := put(buf[:16]); err != nil {
-		return n, err
-	}
+	var counts [8]byte
+	binary.LittleEndian.PutUint32(counts[0:], uint32(len(r.Events)))
+	binary.LittleEndian.PutUint32(counts[4:], uint32(r.NRanks))
+	buf := frame.AppendHeader(make([]byte, 0, r.FramedSize()), framedMagic, framedVersion)
+	buf = frame.AppendRecord(buf, counts[:])
+	var payload []byte
+	var ev [eventWireSize]byte
 	for _, evs := range r.Events {
-		crc := crc32.NewIEEE()
-		binary.LittleEndian.PutUint32(buf[0:], uint32(len(evs)))
-		crc.Write(buf[:4])
-		if err := put(buf[:4]); err != nil {
-			return n, err
-		}
+		payload = payload[:0]
 		for i := range evs {
-			putEventWire(&buf, &evs[i])
-			crc.Write(buf[:eventWireSize])
-			if err := put(buf[:eventWireSize]); err != nil {
-				return n, err
-			}
+			putEventWire(&ev, &evs[i])
+			payload = append(payload, ev[:]...)
 		}
-		binary.LittleEndian.PutUint32(buf[0:], crc.Sum32())
-		if err := put(buf[:4]); err != nil {
-			return n, err
-		}
+		buf = frame.AppendRecord(buf, payload)
 	}
-	return n, bw.Flush()
+	n, err := w.Write(buf)
+	return int64(n), err
 }
 
 func putEventWire(buf *[eventWireSize]byte, e *Event) {
@@ -140,8 +140,8 @@ type StreamSalvage struct {
 type SalvageReport struct {
 	HeaderOK  bool
 	HeaderErr string
-	// Complete is true when nothing was damaged: the run equals what
-	// Decode of an uncorrupted input would produce.
+	// Complete is true when nothing was damaged: the run holds every
+	// event the encoder wrote.
 	Complete bool
 	Streams  []StreamSalvage
 	// MissingStreams counts declared streams with no bytes at all.
@@ -181,30 +181,35 @@ func (sr *SalvageReport) String() string {
 
 // Salvage decodes a TRC2 framed trace, recovering as much as possible
 // from corrupt or truncated input. It never returns an error and never
-// panics: damaged frames contribute their valid event prefix, missing
-// frames contribute empty streams, and the report records exactly what
+// panics: damaged records contribute their valid event prefix, missing
+// records contribute empty streams, and the report records exactly what
 // was lost. Recovered-but-damaged streams are marked Salvaged (with
 // LostEvents) in Run.Status.
 func Salvage(r io.Reader) (*Run, *SalvageReport) {
-	br := bufio.NewReader(r)
-	run := &Run{}
-	rep := &SalvageReport{}
-	var buf [eventWireSize]byte
+	run, rep := &Run{}, &SalvageReport{}
+	data, _ := io.ReadAll(r) // a read error is a truncation like any other
 
-	if _, err := io.ReadFull(br, buf[:16]); err != nil {
-		rep.HeaderErr = "short header"
-		return run, rep
+	body, err := frame.ReadHeader(data, framedMagic, framedVersion)
+	rd := frame.NewReader(body)
+	var counts []byte
+	if err == nil {
+		counts, err = rd.Next()
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != framedMagic {
+	switch {
+	case err == frame.ErrMagic:
 		rep.HeaderErr = "bad magic"
-		return run, rep
-	}
-	if binary.LittleEndian.Uint32(buf[4:]) != framedVersion {
+	case err == frame.ErrVersion:
 		rep.HeaderErr = "unsupported version"
+	case err == frame.ErrChecksum:
+		rep.HeaderErr = "header checksum mismatch"
+	case err != nil || len(counts) != 8:
+		rep.HeaderErr = "short header"
+	}
+	if rep.HeaderErr != "" {
 		return run, rep
 	}
-	nStreams := binary.LittleEndian.Uint32(buf[8:])
-	nRanks := binary.LittleEndian.Uint32(buf[12:])
+	nStreams := binary.LittleEndian.Uint32(counts[0:])
+	nRanks := binary.LittleEndian.Uint32(counts[4:])
 	if nStreams > maxDecodeRanks || nRanks > maxDecodeRanks {
 		rep.HeaderErr = "implausible stream or rank count"
 		return run, rep
@@ -214,68 +219,45 @@ func Salvage(r io.Reader) (*Run, *SalvageReport) {
 
 	// Grow incrementally: header counts are not trusted until bytes arrive.
 	run.Events = make([][]Event, 0, min(int(nStreams), 1024))
-	truncated := false // once the input ends mid-frame, framing is gone
-	for s := uint32(0); s < nStreams && !truncated; s++ {
-		ss := StreamSalvage{Stream: int(s)}
-		if _, err := io.ReadFull(br, buf[:4]); err != nil {
+	// Once the input ends mid-record, framing is gone.
+	for s := uint32(0); s < nStreams && err != frame.ErrTorn; s++ {
+		var payload []byte
+		payload, err = rd.Next()
+		if rd.Declared() < 0 { // no record, or not even its header
 			rep.MissingStreams = int(nStreams - s)
 			break
 		}
-		crc := crc32.NewIEEE()
-		crc.Write(buf[:4])
-		cnt := binary.LittleEndian.Uint32(buf[0:])
-		if cnt > 1<<28 {
-			// The count itself is corrupt; without it the frame boundary is
-			// unknowable, so scan greedily and stop afterwards.
-			ss.Err = SalvageBadCount
-			truncated = true
-			cnt = 1 << 28
-		}
-		evs := make([]Event, 0, min(int(cnt), 4096))
-		intact := true
-		for i := uint32(0); i < cnt; i++ {
-			if _, err := io.ReadFull(br, buf[:eventWireSize]); err != nil {
-				if ss.Err == "" {
-					ss.Err = SalvageTruncated
-				}
-				ss.Lost = int(cnt - i)
-				truncated = true
-				intact = false
-				break
-			}
-			crc.Write(buf[:eventWireSize])
-			ev := eventFromWire(&buf)
-			if !saneEvent(&ev) {
+		ss := StreamSalvage{Stream: int(s)}
+		// The payload's own bytes bound the allocation, not the declared
+		// length.
+		evs := make([]Event, 0, len(payload)/eventWireSize)
+		for len(payload) >= eventWireSize {
+			e := eventFromWire((*[eventWireSize]byte)(payload))
+			if !saneEvent(&e) {
 				// Keep the valid prefix; everything after the first mangled
-				// record in this frame is suspect.
-				if ss.Err == "" {
-					ss.Err = SalvageBadEvent
-				}
-				ss.Lost += int(cnt - i)
-				intact = false
-				// Skip the remaining declared bytes to preserve framing for
-				// the streams that follow.
-				toSkip := int64(cnt-i-1)*eventWireSize + 4
-				if _, err := io.CopyN(io.Discard, br, toSkip); err != nil {
-					truncated = true
-				}
+				// event in this record is suspect.
+				ss.Err = SalvageBadEvent
 				break
 			}
-			evs = append(evs, ev)
-		}
-		if intact && ss.Err == "" {
-			if _, err := io.ReadFull(br, buf[:4]); err != nil {
-				ss.Err = SalvageTruncated
-				truncated = true
-			} else if binary.LittleEndian.Uint32(buf[0:]) != crc.Sum32() {
-				// Every record individually parsed but the checksum
-				// disagrees: some field was silently flipped. Keep the
-				// events (they are structurally valid) but flag the stream
-				// so analysis treats its metrics as unreliable.
-				ss.Err = SalvageChecksum
-			}
+			evs = append(evs, e)
+			payload = payload[eventWireSize:]
 		}
 		ss.Recovered = len(evs)
+		ss.Lost = max(rd.Declared()/eventWireSize-len(evs), 0)
+		switch {
+		case rd.Declared()%eventWireSize != 0:
+			// No stream has a fractional event, so the length field itself
+			// is corrupt and the record boundary with it: stop after it.
+			ss.Err, err = SalvageBadCount, frame.ErrTorn
+		case ss.Err == "" && err == frame.ErrTorn:
+			ss.Err = SalvageTruncated
+		case ss.Err == "" && err == frame.ErrChecksum:
+			// Every event individually parsed but the checksum disagrees:
+			// some field was silently flipped. Keep the events (they are
+			// structurally valid) but flag the stream so analysis treats
+			// its metrics as unreliable.
+			ss.Err = SalvageChecksum
+		}
 		rep.Streams = append(rep.Streams, ss)
 		run.Events = append(run.Events, evs)
 	}

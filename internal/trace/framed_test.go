@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"reflect"
 	"testing"
+
+	"perflow/internal/frame"
 )
 
 func encodeFramed(t testing.TB, r *Run) []byte {
@@ -45,19 +47,18 @@ func TestSalvageTruncationRecoversPrefix(t *testing.T) {
 	orig := fuzzSampleRun()
 	data := encodeFramed(t, orig)
 
-	// Walk the frame layout to compute, for a prefix of n bytes, how many
+	// Walk the record layout to compute, for a prefix of n bytes, how many
 	// complete events it contains.
 	intactEvents := func(n int) int {
-		off, total := 16, 0
+		off, total := stream0At, 0
 		for _, evs := range orig.Events {
-			off += 4 // count
+			off += frame.RecordHeaderLen
 			for range evs {
 				if off+eventWireSize <= n {
 					total++
 				}
 				off += eventWireSize
 			}
-			off += 4 // crc
 		}
 		return total
 	}
@@ -82,7 +83,7 @@ func TestSalvageChecksumMismatchFlagsStream(t *testing.T) {
 	data := encodeFramed(t, orig)
 	// Flip one byte inside the first event's Start field: the record still
 	// parses, but the frame CRC must catch it.
-	data[16+4+20] ^= 0xff
+	data[event0At+20] ^= 0xff
 	run, rep := Salvage(bytes.NewReader(data))
 	if rep.Complete {
 		t.Fatal("corrupt input reported Complete")
@@ -110,7 +111,7 @@ func TestSalvageInvalidEventKeepsValidPrefixAndLaterFrames(t *testing.T) {
 	data := encodeFramed(t, orig)
 	// Wreck the second event of stream 0 (rank -> garbage beyond the rank
 	// bound) without touching its length: framing stays intact.
-	binary.LittleEndian.PutUint32(data[16+4+eventWireSize:], 0xffffffff)
+	binary.LittleEndian.PutUint32(data[event0At+eventWireSize:], 0xffffffff)
 	run, rep := Salvage(bytes.NewReader(data))
 	if rep.Streams[0].Err != SalvageBadEvent || rep.Streams[0].Recovered != 1 || rep.Streams[0].Lost != 1 {
 		t.Errorf("stream 0 = %+v, want 1 recovered / 1 lost invalid-event", rep.Streams[0])
@@ -129,9 +130,7 @@ func TestSalvageGarbageAndHostileHeaders(t *testing.T) {
 		"short header": {0x32, 0x43, 0x52, 0x54},
 		"bad magic":    bytes.Repeat([]byte{0xab}, 64),
 	}
-	huge := encodeFramed(t, fuzzSampleRun())[:16]
-	binary.LittleEndian.PutUint32(huge[8:], 1<<30) // implausible stream count
-	cases["implausible streams"] = huge
+	cases["implausible streams"] = withCounts(t, 1<<30, 2)[:stream0At]
 	for name, data := range cases {
 		run, rep := Salvage(bytes.NewReader(data))
 		if rep.HeaderOK {
@@ -149,8 +148,7 @@ func TestSalvageGarbageAndHostileHeaders(t *testing.T) {
 func TestSalvageMissingStreams(t *testing.T) {
 	data := encodeFramed(t, fuzzSampleRun())
 	// Cut the whole second frame.
-	frame0 := 16 + 4 + 2*eventWireSize + 4
-	run, rep := Salvage(bytes.NewReader(data[:frame0]))
+	run, rep := Salvage(bytes.NewReader(data[:stream1At]))
 	if rep.MissingStreams != 1 {
 		t.Errorf("MissingStreams = %d, want 1", rep.MissingStreams)
 	}

@@ -145,22 +145,25 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
+// TestEncodedSizeAndFramedRoundTrip pins the storage-cost model (a 16-byte
+// header, 58 bytes per event, 4 per stream) and checks the TRC2 bytes of
+// the same run salvage back to its events.
+func TestEncodedSizeAndFramedRoundTrip(t *testing.T) {
 	r := sampleRun()
+	if got, want := r.EncodedSize(), int64(16+4*58+2*4); got != want {
+		t.Errorf("EncodedSize = %d, want %d", got, want)
+	}
 	var buf bytes.Buffer
-	n, err := r.Encode(&buf)
+	n, err := r.EncodeFramed(&buf)
 	if err != nil {
-		t.Fatalf("Encode: %v", err)
+		t.Fatalf("EncodeFramed: %v", err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("Encode reported %d, wrote %d", n, buf.Len())
+	if n != int64(buf.Len()) || n != r.FramedSize() {
+		t.Errorf("EncodeFramed reported %d, wrote %d, FramedSize %d", n, buf.Len(), r.FramedSize())
 	}
-	if n != r.EncodedSize() {
-		t.Errorf("EncodedSize = %d, actual %d", r.EncodedSize(), n)
-	}
-	got, err := Decode(&buf)
-	if err != nil {
-		t.Fatalf("Decode: %v", err)
+	got, rep := Salvage(&buf)
+	if !rep.Complete {
+		t.Fatalf("intact trace salvaged incomplete: %v", rep)
 	}
 	if got.NRanks != 2 || got.NumEvents() != 4 {
 		t.Fatalf("decoded shape wrong: %d ranks %d events", got.NRanks, got.NumEvents())
@@ -175,15 +178,5 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	if got.TotalTime() != 15 {
 		t.Errorf("decoded TotalTime = %v", got.TotalTime())
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(bytes.NewReader([]byte{1, 2})); err == nil {
-		t.Error("short input should error")
-	}
-	bad := make([]byte, 16)
-	if _, err := Decode(bytes.NewReader(bad)); err == nil {
-		t.Error("bad magic should error")
 	}
 }
