@@ -180,3 +180,20 @@ func TestEncodedSizeAndFramedRoundTrip(t *testing.T) {
 		t.Errorf("decoded TotalTime = %v", got.TotalTime())
 	}
 }
+
+// TestDecodeErrors checks the decoder refuses input too short for a header
+// and a header whose magic is not TRC2, returning an empty run either way.
+func TestDecodeErrors(t *testing.T) {
+	for name, data := range map[string][]byte{
+		"short input": {1, 2},
+		"bad magic":   make([]byte, 16),
+	} {
+		run, rep := Salvage(bytes.NewReader(data))
+		if rep.HeaderOK || rep.Complete {
+			t.Errorf("%s should error, got %v", name, rep)
+		}
+		if run == nil || run.NumEvents() != 0 {
+			t.Errorf("%s: want empty run, got %v", name, run)
+		}
+	}
+}
