@@ -378,3 +378,87 @@ func TestMemoryLRU(t *testing.T) {
 		t.Errorf("stats after delete = %+v", st)
 	}
 }
+
+// TestDiskRescanOutcomes pins what a rescan makes of a directory: good
+// entries (an empty value and a zero-length key among them) are indexed
+// with their value sizes, and a file with a bad magic, a short key header
+// or a key longer than the file is deleted and counted corrupt, at open
+// and on a Keys call that finds files another replica wrote.
+func TestDiskRescanOutcomes(t *testing.T) {
+	dir := t.TempDir()
+	good := map[string][]byte{
+		hexKey("a"): val("a", 100),
+		hexKey("b"): {},
+		"":          val("c", 7),
+		"plain key": val("d", 3000),
+	}
+	write := func(d *Disk) {
+		for k, v := range good {
+			if err := d.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	plant := func(name string, data []byte) string {
+		path := filepath.Join(dir, name[:2], name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	wrecks := func(tag string) []string {
+		img := encode(hexKey(tag+"x"), val("x", 50))
+		badMagic := append([]byte("XFS1"), img[4:]...)
+		longKey := frame.AppendHeader(nil, diskMagic, diskVersion)
+		longKey = binary.LittleEndian.AppendUint32(longKey, 1000)
+		return []string{
+			plant(hexKey(tag+"magic"), badMagic),
+			plant(hexKey(tag+"short"), append(frame.AppendHeader(nil, diskMagic, diskVersion), 1, 0)),
+			plant(hexKey(tag+"long"), append(longKey, "abc"...)),
+		}
+	}
+	check := func(d *Disk, corrupt int64, planted []string) {
+		t.Helper()
+		want := Stats{Entries: len(good), Corrupt: corrupt}
+		for _, v := range good {
+			want.Bytes += int64(len(v))
+		}
+		keys, err := d.Keys()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := d.Stats(); st != want {
+			t.Errorf("Stats = %+v, want %+v", st, want)
+		}
+		if len(keys) != len(good) {
+			t.Errorf("Keys = %q, want the %d good keys", keys, len(good))
+		}
+		for _, k := range keys {
+			if _, ok := good[k]; !ok {
+				t.Errorf("Keys holds %q", k)
+			}
+		}
+		for _, p := range planted {
+			if _, err := os.Stat(p); !os.IsNotExist(err) {
+				t.Errorf("corrupt file %s not deleted", filepath.Base(p))
+			}
+		}
+	}
+
+	d, err := NewDisk(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(d)
+	d.Close()
+	planted := wrecks("open")
+	d2, err := NewDisk(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(d2, 3, planted)
+	check(d2, 6, wrecks("audit"))
+}
