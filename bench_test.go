@@ -388,6 +388,46 @@ func BenchmarkPassCriticalPath(b *testing.B) {
 	}
 }
 
+// BenchmarkPassProject measures backtracking's projection (paper §4.4,
+// Listing 7): the zeusmp top-down view projected onto its 64-rank parallel
+// view through the flow index.
+func BenchmarkPassProject(b *testing.B) {
+	res, err := collector.Collect(workloads.ZeusMP(false), collector.Options{Ranks: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	all := core.AllVertices(res.TopDown)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if core.Project(all, res.Parallel).Len() == 0 {
+			b.Fatal("empty projection")
+		}
+	}
+}
+
+// BenchmarkReportWriteSet measures the report module: the critical-path
+// paradigm's 30-row report of cg's 64-rank parallel view.
+func BenchmarkReportWriteSet(b *testing.B) {
+	p, err := workloads.Get("cg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := collector.Collect(p, collector.Options{Ranks: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := core.CriticalPath(core.AllVertices(res.Parallel))
+	rep := &core.Report{Title: "critical path", Attrs: []string{"name", "rank", "etime", "wait", "debug"}, MaxRows: 30}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rep.WriteSet(io.Discard, path); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkGraphDiff measures the graph-difference algorithm behind
 // differential analysis (paper §4.3.2 B): graph.DiffNormalized of the
 // zeusmp top-down views at 8 and 64 ranks.

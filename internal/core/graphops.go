@@ -132,9 +132,10 @@ func (s *Set) AddVertexTo(v graph.VertexID) {
 // vertices are boxed; edges in the set are bold red.
 func DOTHeat(s *Set, name, metric string) string {
 	g := s.PAG.G
+	col := g.MetricColumn(metric)
 	var maxv float64
 	for i := 0; i < g.NumVertices(); i++ {
-		if m := g.Vertex(graph.VertexID(i)).Metric(metric); m > maxv {
+		if m := col.At(graph.VertexID(i)); m > maxv {
 			maxv = m
 		}
 	}
@@ -153,7 +154,7 @@ func DOTHeat(s *Set, name, metric string) string {
 		v := g.Vertex(graph.VertexID(i))
 		sat := 0.0
 		if maxv > 0 {
-			sat = v.Metric(metric) / maxv
+			sat = col.At(v.ID) / maxv
 		}
 		attrs := fmt.Sprintf("label=%q, fillcolor=\"0.05 %.3f 1.0\"", v.Name, sat)
 		if hiV[v.ID] {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 
 	"perflow/internal/graph"
@@ -22,24 +23,16 @@ type keyed struct {
 	val float64
 }
 
-// sortKeyed orders ks by (val descending, id ascending) — exactly
-// Set.SortBy's total order — and returns the IDs in that order. The id
-// tiebreak makes the order total (two entries only compare equal when both
-// id and val match, and such entries are interchangeable), so the sorted
-// permutation is unique and an unstable sort renders the same bytes as
-// SortBy's stable sort. Each val must be the key the standalone pass would
-// read for its id; fusion legality (disjoint Reads/Writes) guarantees no
-// fused sibling changes it between the sweep and Finish.
+// sortKeyed orders ks under cmpKeyed — Set.SortBy's order — and returns
+// the IDs in that order (nil when ks is empty). Each val must be the key
+// the standalone pass would read for its id; fusion legality (disjoint
+// Reads/Writes) guarantees no fused sibling changes it between the sweep
+// and Finish.
 func sortKeyed(ks []keyed) []graph.VertexID {
-	slices.SortFunc(ks, cmpKeyed)
-	return keyedIDs(ks)
-}
-
-// keyedIDs returns the IDs of ks in order (nil when ks is empty).
-func keyedIDs(ks []keyed) []graph.VertexID {
 	if len(ks) == 0 {
 		return nil
 	}
+	slices.SortFunc(ks, cmpKeyed)
 	ids := make([]graph.VertexID, len(ks))
 	for i := range ks {
 		ids[i] = ks[i].id
@@ -48,46 +41,36 @@ func keyedIDs(ks []keyed) []graph.VertexID {
 }
 
 // cmpKeyed is Set.SortBy's order as a three-way comparison: val
-// descending, id ascending. Negative means a sorts before b.
+// descending with NaN after every number, id ascending. Negative means a
+// sorts before b. cmp.Compare makes it total even on NaN keys, so every
+// selection or sort under it yields the same unique order.
 func cmpKeyed(a, b keyed) int {
-	if a.val != b.val {
-		if a.val > b.val {
-			return -1
-		}
-		return 1
-	}
-	if a.id != b.id {
-		if a.id < b.id {
-			return -1
-		}
-		return 1
-	}
-	return 0
+	return cmp.Or(cmp.Compare(b.val, a.val), cmp.Compare(a.id, b.id))
 }
 
-// topKeyed reduces ks to its n first entries under cmpKeyed, sorted — the
-// planner's top-k traversal for sort_by(m).top(n). A bounded worst-at-root
-// heap holds the n best seen; each remaining entry displaces the root only
-// when it sorts before it. O(len·log n) instead of the full sort's
-// O(len·log len), with the same unique result: cmpKeyed is total, so the
-// sorted top-n is the same set in the same order however it is selected.
-func topKeyed(ks []keyed, n int) []keyed {
-	if n >= len(ks) {
-		slices.SortFunc(ks, cmpKeyed)
-		return ks
-	}
-	h := ks[:n]
-	for i := n/2 - 1; i >= 0; i-- {
-		siftWorst(h, i)
-	}
-	for _, e := range ks[n:] {
-		if cmpKeyed(e, h[0]) < 0 {
-			h[0] = e
-			siftWorst(h, 0)
+// topK selects the n first entries under cmpKeyed from a stream, for
+// sort_by(m).top(n). Once n entries are held they form a worst-at-root
+// heap, and a later entry displaces the root only when it sorts before it:
+// O(len·log n) time and n entries of memory, and the full sort's result,
+// since cmpKeyed is total.
+type topK struct {
+	n int
+	h []keyed
+}
+
+func (t *topK) push(e keyed) {
+	switch {
+	case len(t.h) < t.n:
+		t.h = append(t.h, e)
+		if len(t.h) == t.n {
+			for i := t.n/2 - 1; i >= 0; i-- {
+				siftWorst(t.h, i)
+			}
 		}
+	case t.n > 0 && cmpKeyed(e, t.h[0]) < 0:
+		t.h[0] = e
+		siftWorst(t.h, 0)
 	}
-	slices.SortFunc(h, cmpKeyed)
-	return h
 }
 
 // siftWorst restores the worst-at-root heap property at index i: every
@@ -129,21 +112,20 @@ func (k *filterKernel) Visit(_ int, v graph.VertexID) {
 
 func (k *filterKernel) Finish() ([]*Set, error) { return []*Set{k.out}, nil }
 
-// hotspotKernel is Hotspot (sort_by(m).top(n)) as a kernel: the scan
-// collects each vertex and its metric value, Finish sorts the cached keys
-// and truncates exactly like SortBy+Top (stable, descending, ties to the
-// lower ID, edges carried through unchanged). Caching the key during the
-// sweep is the planner's decorate-sort traversal: one column read per
-// vertex instead of two per comparison.
+// hotspotKernel is Hotspot (sort_by(m).top(n)) as a kernel, and the one
+// implementation of it: the scan reads each vertex's value from the
+// metric's column and keeps the top n under cmpKeyed; Finish orders them
+// like SortBy+Top (descending, ties to the lower ID, edges carried through
+// unchanged).
 type hotspotKernel struct {
 	in  *Set
 	col []float64 // the metric's vertex column; nil reads 0
-	n   int
-	ks  []keyed
+	top topK
 }
 
 func newHotspotKernel(in *Set, metric string, n int) *hotspotKernel {
-	return &hotspotKernel{in: in, col: in.PAG.G.VertexMetricColumn(metric), n: n, ks: make([]keyed, 0, len(in.V))}
+	h := make([]keyed, 0, max(0, min(n, len(in.V))))
+	return &hotspotKernel{in: in, col: in.PAG.G.VertexMetricColumn(metric), top: topK{n: n, h: h}}
 }
 
 func (k *hotspotKernel) Visit(_ int, v graph.VertexID) {
@@ -151,13 +133,13 @@ func (k *hotspotKernel) Visit(_ int, v graph.VertexID) {
 	if k.col != nil {
 		x = k.col[v]
 	}
-	k.ks = append(k.ks, keyed{v, x})
+	k.top.push(keyed{v, x})
 }
 
 func (k *hotspotKernel) Finish() ([]*Set, error) {
 	return []*Set{{
 		PAG: k.in.PAG,
-		V:   keyedIDs(topKeyed(k.ks, k.n)),
+		V:   sortKeyed(k.top.h),
 		E:   append([]graph.EdgeID(nil), k.in.E...),
 	}}, nil
 }
@@ -165,21 +147,21 @@ func (k *hotspotKernel) Finish() ([]*Set, error) {
 // imbalanceKernel is Imbalance as a kernel.
 type imbalanceKernel struct {
 	in        *Set
-	vecKey    string
+	vecs      graph.Column[[]float64]
 	threshold float64
 	ks        []keyed
 }
 
+func newImbalanceKernel(in *Set, metric string, threshold float64) *imbalanceKernel {
+	return &imbalanceKernel{in: in, vecs: in.PAG.G.VecColumn(metric + "_vec"), threshold: threshold}
+}
+
 func (k *imbalanceKernel) Visit(_ int, vid graph.VertexID) {
-	vert := k.in.PAG.G.Vertex(vid)
-	vec := vert.Vec(k.vecKey)
+	vec := k.vecs.At(vid)
 	if len(vec) == 0 {
 		return
 	}
-	n := k.in.PAG.NRanks
-	if n < len(vec) {
-		n = len(vec)
-	}
+	n := max(k.in.PAG.NRanks, len(vec))
 	var sum, maxv float64
 	for _, x := range vec {
 		sum += x
@@ -191,7 +173,7 @@ func (k *imbalanceKernel) Visit(_ int, vid graph.VertexID) {
 		return
 	}
 	ratio := maxv / (sum / float64(n))
-	vert.SetMetric(MetricImbalance, ratio)
+	k.in.PAG.G.Vertex(vid).SetMetric(MetricImbalance, ratio)
 	if ratio >= k.threshold {
 		k.ks = append(k.ks, keyed{vid, ratio})
 	}
@@ -203,16 +185,23 @@ func (k *imbalanceKernel) Finish() ([]*Set, error) {
 
 // breakdownKernel is Breakdown as a kernel: annotations land on the
 // environment during the scan, the output is the input cloned.
-type breakdownKernel struct{ in *Set }
+type breakdownKernel struct {
+	in          *Set
+	total, wait graph.Column[float64]
+}
+
+func newBreakdownKernel(in *Set) *breakdownKernel {
+	g := in.PAG.G
+	return &breakdownKernel{in: in, total: g.MetricColumn(pag.MetricExclTime), wait: g.MetricColumn(pag.MetricWait)}
+}
 
 func (k *breakdownKernel) Visit(_ int, vid graph.VertexID) {
-	vert := k.in.PAG.G.Vertex(vid)
-	total := vert.Metric(pag.MetricExclTime)
-	wait := vert.Metric(pag.MetricWait)
-	transfer := total - wait
+	wait := k.wait.At(vid)
+	transfer := k.total.At(vid) - wait
 	if transfer < 0 {
 		transfer = 0
 	}
+	vert := k.in.PAG.G.Vertex(vid)
 	vert.SetMetric("transfer", transfer)
 	cause := "message-size"
 	if wait > transfer {
@@ -225,17 +214,25 @@ func (k *breakdownKernel) Finish() ([]*Set, error) { return []*Set{k.in.Clone()}
 
 // waitstateKernel is WaitStates as a kernel.
 type waitstateKernel struct {
-	in *Set
-	ks []keyed
+	in   *Set
+	kind graph.Column[string]
+	wait graph.Column[float64]
+	ks   []keyed
+}
+
+func newWaitstateKernel(in *Set) *waitstateKernel {
+	g := in.PAG.G
+	return &waitstateKernel{in: in, kind: g.AttrColumn(pag.AttrKind), wait: g.MetricColumn(pag.MetricWait)}
 }
 
 func (k *waitstateKernel) Visit(_ int, vid graph.VertexID) {
 	vert := k.in.PAG.G.Vertex(vid)
-	if !IsCommVertex(vert) {
+	if !isComm(k.kind.At(vid), vert.Label) {
 		return
 	}
-	vert.SetAttr(AttrWaitState, WaitClassOf(vert))
-	if w := vert.Metric(pag.MetricWait); w > 0 {
+	w := k.wait.At(vid)
+	vert.SetAttr(AttrWaitState, waitClass(vert.Name, w))
+	if w > 0 {
 		k.ks = append(k.ks, keyed{vid, w})
 	}
 }

@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
+	"strconv"
 
 	"perflow/internal/pag"
 )
@@ -31,48 +31,54 @@ type MPIProfileRow struct {
 // view: per MPI call site, aggregate time, share of total time, call count
 // and message volume.
 func MPIProfiler(env *pag.PAG) []MPIProfileRow {
-	comm := AllVertices(env).FilterName("MPI_*").SortBy(pag.MetricExclTime)
+	g := env.G
+	etime, count, bytes := g.MetricColumn(pag.MetricExclTime), g.MetricColumn(pag.MetricCount), g.MetricColumn(pag.MetricBytes)
+	wait, debug := g.MetricColumn(pag.MetricWait), g.AttrColumn(pag.AttrDebug)
 	var appTime float64
-	all := AllVertices(env)
-	for _, vid := range all.V {
-		appTime += env.G.Vertex(vid).Metric(pag.MetricExclTime)
+	for _, t := range g.VertexMetricColumn(pag.MetricExclTime) {
+		appTime += t
 	}
+	comm := AllVertices(env).FilterName("MPI_*").SortBy(pag.MetricExclTime)
 	rows := make([]MPIProfileRow, 0, comm.Len())
 	for _, vid := range comm.V {
-		v := env.G.Vertex(vid)
-		t := v.Metric(pag.MetricExclTime)
-		if t == 0 && v.Metric(pag.MetricCount) == 0 {
+		t, cnt := etime.At(vid), count.At(vid)
+		if t == 0 && cnt == 0 {
 			continue
 		}
 		row := MPIProfileRow{
-			Name:  v.Name,
-			Site:  v.Attr(pag.AttrDebug),
+			Name:  g.Vertex(vid).Name,
+			Site:  debug.At(vid),
 			Time:  t,
-			Count: int(v.Metric(pag.MetricCount)),
-			Bytes: v.Metric(pag.MetricBytes),
+			Count: int(cnt),
+			Bytes: bytes.At(vid),
 		}
 		if appTime > 0 {
 			row.Percent = 100 * t / appTime
 		}
 		if row.Count > 0 {
-			row.MeanWait = v.Metric(pag.MetricWait) / float64(row.Count)
+			row.MeanWait = wait.At(vid) / float64(row.Count)
 		}
 		rows = append(rows, row)
 	}
 	return rows
 }
 
-// WriteMPIProfile renders the profiler rows as text.
+// WriteMPIProfile renders the profiler rows as text, in one Write.
 func WriteMPIProfile(w io.Writer, rows []MPIProfileRow) {
-	table := [][]string{{"call", "site", "time(us)", "app%", "count", "bytes", "mean-wait"}}
-	for _, r := range rows {
-		table = append(table, []string{
-			r.Name, r.Site,
-			formatMetric(r.Time), fmt.Sprintf("%.2f", r.Percent),
-			fmt.Sprintf("%d", r.Count), formatMetric(r.Bytes), formatMetric(r.MeanWait),
-		})
+	t := table{ncol: 7}
+	for _, h := range [...]string{"call", "site", "time(us)", "app%", "count", "bytes", "mean-wait"} {
+		t.add(append(t.buf, h...))
 	}
-	writeAligned(w, table)
+	for _, r := range rows {
+		t.add(append(t.buf, r.Name...))
+		t.add(append(t.buf, r.Site...))
+		t.add(appendMetric(t.buf, r.Time))
+		t.add(strconv.AppendFloat(t.buf, r.Percent, 'f', 2, 64))
+		t.add(strconv.AppendInt(t.buf, int64(r.Count), 10))
+		t.add(appendMetric(t.buf, r.Bytes))
+		t.add(appendMetric(t.buf, r.MeanWait))
+	}
+	w.Write(t.appendTo(nil))
 }
 
 // CriticalPathParadigm builds and runs the critical-path PerFlowGraph on a

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"perflow/internal/graph"
 	"perflow/internal/pag"
@@ -25,8 +26,21 @@ const (
 // Hotspot returns the n vertices with the highest value of metric:
 //
 //	def hotspot(V, m, n): return V.sort_by(m).top(n)
+//
+// It runs the hotspot kernel over the set, the selection a planned
+// PerFlowGraph runs, so there is one implementation of it.
 func Hotspot(v *Set, metric string, n int) *Set {
-	return v.SortBy(metric).Top(n)
+	return scan(newHotspotKernel(v, metric, n), v)
+}
+
+// scan runs a pass's kernel over its input set: the standalone form of a
+// fusable pass, so the pass and its fused form share one implementation.
+func scan(k ScanKernel, in *Set) *Set {
+	for i, v := range in.V {
+		k.Visit(i, v)
+	}
+	out, _ := k.Finish()
+	return out[0]
 }
 
 // HotspotPass wraps Hotspot as a dataflow pass.
@@ -65,9 +79,10 @@ func Differential(v1, v2 *Set, metric string, normalize bool) *Set {
 	}
 	env := v1.PAG.Derive(dg, v2.PAG.NRanks)
 	out := AllVertices(env)
+	delta := dg.MetricColumn(metric)
+	loss, has := dg.WritableVertexMetric(MetricScaleLoss)
 	for _, vid := range out.V {
-		dv := dg.Vertex(vid)
-		dv.SetMetric(MetricScaleLoss, dv.Metric(metric))
+		loss[vid], has[vid] = delta.At(vid), true
 	}
 	return out
 }
@@ -98,36 +113,7 @@ func DifferentialPass(metric string, normalize bool) Pass {
 // Vertices observed on fewer ranks than the environment's rank count are
 // padded with zeros, so "runs on 3 of 128 ranks" counts as imbalance.
 func Imbalance(v *Set, metric string, threshold float64) *Set {
-	vecKey := metric + "_vec"
-	out := NewSet(v.PAG)
-	for _, vid := range v.V {
-		vert := v.PAG.G.Vertex(vid)
-		vec := vert.Vec(vecKey)
-		if len(vec) == 0 {
-			continue
-		}
-		n := v.PAG.NRanks
-		if n < len(vec) {
-			n = len(vec)
-		}
-		var sum, maxv float64
-		for _, x := range vec {
-			sum += x
-			if x > maxv {
-				maxv = x
-			}
-		}
-		if sum <= 0 || n == 0 {
-			continue
-		}
-		mean := sum / float64(n)
-		ratio := maxv / mean
-		vert.SetMetric(MetricImbalance, ratio)
-		if ratio >= threshold {
-			out.V = append(out.V, vid)
-		}
-	}
-	return out.SortBy(MetricImbalance)
+	return scan(newImbalanceKernel(v, metric, threshold), v)
 }
 
 // ImbalancePass wraps Imbalance.
@@ -144,7 +130,7 @@ func ImbalancePass(metric string, threshold float64) Pass {
 		Reads:     []string{metric + "_vec"},
 		Writes:    []string{MetricImbalance},
 		Scan: func(in *Set) ScanKernel {
-			return &imbalanceKernel{in: in, vecKey: metric + "_vec", threshold: threshold}
+			return newImbalanceKernel(in, metric, threshold)
 		},
 	})
 }
@@ -158,25 +144,7 @@ func ImbalancePass(metric string, threshold float64) Pass {
 // delayed by earlier work elsewhere). The paper's communication-analysis
 // example (§2.2) uses this to decide whether imbalanced communication comes
 // from different message sizes or from load imbalance before the calls.
-func Breakdown(v *Set) *Set {
-	out := v.Clone()
-	for _, vid := range out.V {
-		vert := out.PAG.G.Vertex(vid)
-		total := vert.Metric(pag.MetricExclTime)
-		wait := vert.Metric(pag.MetricWait)
-		transfer := total - wait
-		if transfer < 0 {
-			transfer = 0
-		}
-		vert.SetMetric("transfer", transfer)
-		cause := "message-size"
-		if wait > transfer {
-			cause = "preceding-imbalance"
-		}
-		vert.SetAttr("breakdown", cause)
-	}
-	return out
-}
+func Breakdown(v *Set) *Set { return scan(newBreakdownKernel(v), v) }
 
 // BreakdownPass wraps Breakdown.
 func BreakdownPass() Pass {
@@ -192,7 +160,7 @@ func BreakdownPass() Pass {
 		Reads:     []string{pag.MetricExclTime, pag.MetricWait},
 		Writes:    []string{"transfer", "breakdown"},
 		Scan: func(in *Set) ScanKernel {
-			return &breakdownKernel{in: in}
+			return newBreakdownKernel(in)
 		},
 	})
 }
@@ -532,30 +500,31 @@ func ProjectPass(target *pag.PAG) Pass {
 	})
 }
 
-// Project implements ProjectPass (see there).
+// Project implements ProjectPass (see there). A parallel target's flow
+// vertices of a node come from its flow index, by rank then thread, those
+// of ranks and threads beyond the target's scale left out.
 func Project(s *Set, target *pag.PAG) *Set {
 	out := NewSet(target)
-	seen := map[graph.VertexID]bool{}
+	var seen []bool // per IR node: projected already
 	for _, vid := range s.V {
 		node := s.PAG.NodeOf(vid)
 		if node < 0 {
 			continue
 		}
+		if int(node) >= len(seen) {
+			seen = slices.Grow(seen, int(node)+1-len(seen))[:int(node)+1]
+		}
+		if seen[node] {
+			continue
+		}
+		seen[node] = true
 		if target.View == pag.Parallel {
-			for r := int32(0); r < int32(target.NRanks); r++ {
-				if fv := target.FlowVertex(r, -1, node); fv != graph.NoVertex && !seen[fv] {
-					seen[fv] = true
-					out.V = append(out.V, fv)
-				}
-				for t := int32(0); t < int32(target.NThreads); t++ {
-					if fv := target.FlowVertex(r, t, node); fv != graph.NoVertex && !seen[fv] {
-						seen[fv] = true
-						out.V = append(out.V, fv)
-					}
+			for _, f := range target.Flows(node) {
+				if f.Rank >= 0 && f.Rank < int32(target.NRanks) && f.Thread >= -1 && f.Thread < int32(target.NThreads) {
+					out.V = append(out.V, f.V)
 				}
 			}
-		} else if tv := target.VertexOf(node); tv != graph.NoVertex && !seen[tv] {
-			seen[tv] = true
+		} else if tv := target.VertexOf(node); tv != graph.NoVertex {
 			out.V = append(out.V, tv)
 		}
 	}

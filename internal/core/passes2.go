@@ -41,6 +41,7 @@ type CommunityGroup struct {
 // than a vertex-level one.
 func Community(v *Set) []CommunityGroup {
 	comm := v.PAG.G.CommunityDetect(0)
+	etime := v.PAG.G.MetricColumn(pag.MetricExclTime)
 	agg := map[int]*CommunityGroup{}
 	for _, vid := range v.V {
 		vert := v.PAG.G.Vertex(vid)
@@ -52,9 +53,9 @@ func Community(v *Set) []CommunityGroup {
 			agg[cid] = g
 		}
 		g.Size++
-		t := vert.Metric(pag.MetricExclTime)
+		t := etime.At(vid)
 		g.Time += t
-		if g.Hottest == "" || t > v.PAG.G.Vertex(g.Exemplar).Metric(pag.MetricExclTime) {
+		if g.Hottest == "" || t > etime.At(g.Exemplar) {
 			g.Hottest = vert.Name
 			g.Exemplar = vid
 		}
@@ -154,41 +155,29 @@ func DominatorPass() Pass {
 // pass over the PAG instead of over raw traces. The class is stored as an
 // attribute and the classified subset (wait > 0) is returned sorted by
 // wait time.
-func WaitStates(v *Set) *Set {
-	out := NewSet(v.PAG)
-	for _, vid := range v.V {
-		vert := v.PAG.G.Vertex(vid)
-		if !IsCommVertex(vert) {
-			continue
-		}
-		vert.SetAttr(AttrWaitState, WaitClassOf(vert))
-		if vert.Metric(pag.MetricWait) > 0 {
-			out.V = append(out.V, vid)
-		}
-	}
-	return out.SortBy(pag.MetricWait)
-}
+func WaitStates(v *Set) *Set { return scan(newWaitstateKernel(v), v) }
 
 // IsCommVertex reports whether a vertex models a communication call — the
 // subset WaitStates classifies and differential summaries count as MPI
 // time.
-func IsCommVertex(v *graph.Vertex) bool {
-	return v.Attr(pag.AttrKind) == "comm" || v.Label == pag.VertexCommCall
-}
+func IsCommVertex(v *graph.Vertex) bool { return isComm(v.Attr(pag.AttrKind), v.Label) }
+
+func isComm(kind string, label int) bool { return kind == "comm" || label == pag.VertexCommCall }
 
 // WaitClassOf is the Scalasca-style wait-state class of a communication
 // vertex: "no-wait", "wait-at-collective", "late-receiver" (blocked
 // sender), or "late-sender" (blocked receiver/wait). Shared by the
 // WaitStates pass and internal/diff's run summaries so both layers agree
 // on the taxonomy.
-func WaitClassOf(v *graph.Vertex) string {
-	wait := v.Metric(pag.MetricWait)
+func WaitClassOf(v *graph.Vertex) string { return waitClass(v.Name, v.Metric(pag.MetricWait)) }
+
+func waitClass(name string, wait float64) string {
 	switch {
 	case wait <= 0:
 		return "no-wait"
-	case isCollectiveName(v.Name):
+	case isCollectiveName(name):
 		return "wait-at-collective"
-	case v.Name == "MPI_Send" || v.Name == "MPI_Isend":
+	case name == "MPI_Send" || name == "MPI_Isend":
 		return "late-receiver"
 	default:
 		return "late-sender"
@@ -217,7 +206,7 @@ func WaitStatePass() Pass {
 		Reads:     []string{pag.MetricWait, pag.AttrKind},
 		Writes:    []string{AttrWaitState},
 		Scan: func(in *Set) ScanKernel {
-			return &waitstateKernel{in: in}
+			return newWaitstateKernel(in)
 		},
 	})
 }
@@ -258,16 +247,17 @@ func ScalingCurve(points []ScalingPoint) (*Set, error) {
 	// Index earlier runs' vertices by identity key.
 	type key struct{ name, dbg string }
 	firstTime := map[key]float64{}
+	dbg, incl := first.PAG.G.AttrColumn(pag.AttrDebug), first.PAG.G.MetricColumn(pag.MetricTime)
 	for _, vid := range first.V {
-		vert := first.PAG.G.Vertex(vid)
-		firstTime[key{vert.Name, vert.Attr(pag.AttrDebug)}] += vert.Metric(pag.MetricTime)
+		firstTime[key{first.PAG.G.Vertex(vid).Name, dbg.At(vid)}] += incl.At(vid)
 	}
 	ratioP := float64(points[len(points)-1].Ranks) / float64(points[0].Ranks)
 
+	dbg, incl = last.PAG.G.AttrColumn(pag.AttrDebug), last.PAG.G.MetricColumn(pag.MetricTime)
 	for _, vid := range last.V {
 		vert := last.PAG.G.Vertex(vid)
-		tLast := vert.Metric(pag.MetricTime)
-		tFirst := firstTime[key{vert.Name, vert.Attr(pag.AttrDebug)}]
+		tLast := incl.At(vid)
+		tFirst := firstTime[key{vert.Name, dbg.At(vid)}]
 		if tFirst <= 0 && tLast <= 0 {
 			continue
 		}
@@ -346,13 +336,14 @@ func CondensePass() Pass {
 // descending.
 func TopProcesses(v *Set, metric string, n int) []RankTotal {
 	totals := map[int]float64{}
+	g := v.PAG.G
+	rank, m, vec := g.MetricColumn(pag.MetricRank), g.MetricColumn(metric), g.VecColumn(metric+"_vec")
 	for _, vid := range v.V {
-		vert := v.PAG.G.Vertex(vid)
 		if v.PAG.View == pag.Parallel {
-			totals[int(vert.Metric(pag.MetricRank))] += vert.Metric(metric)
+			totals[int(rank.At(vid))] += m.At(vid)
 			continue
 		}
-		for r, x := range vert.Vec(metric + "_vec") {
+		for r, x := range vec.At(vid) {
 			totals[r] += x
 		}
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
+	"strconv"
 
 	"perflow/internal/graph"
 	"perflow/internal/pag"
@@ -22,156 +22,210 @@ type Report struct {
 	MaxRows int
 }
 
-// WriteSet renders one set as an aligned text table.
+// WriteSet renders one set as an aligned text table. Every column's
+// metric and attribute columns are resolved once, and the report is
+// formatted into the buffer of the table's cells, after them, and written
+// with one Write.
 func (r *Report) WriteSet(w io.Writer, s *Set) error {
 	attrs := r.Attrs
 	if len(attrs) == 0 {
 		attrs = []string{"name", "time", "debug"}
 	}
-	if r.Title != "" {
-		if _, err := fmt.Fprintf(w, "== %s ==\n", r.Title); err != nil {
-			return err
-		}
-	}
-	rows := [][]string{attrs}
 	n := len(s.V)
 	if r.MaxRows > 0 && n > r.MaxRows {
 		n = r.MaxRows
 	}
-	for i := 0; i < n; i++ {
-		v := s.PAG.G.Vertex(s.V[i])
-		row := make([]string, len(attrs))
-		for j, a := range attrs {
-			row[j] = renderAttr(s.PAG, v, a)
-		}
-		rows = append(rows, row)
+	g := s.PAG.G
+	cells := make([]cell, len(attrs))
+	t := table{ncol: len(attrs), ends: make([]int, 0, (n+1)*len(attrs))}
+	for j, a := range attrs {
+		cells[j] = columnCell(g, a)
+		t.add(append(t.buf, a...))
 	}
-	writeAligned(w, rows)
+	for _, vid := range s.V[:n] {
+		for _, c := range cells {
+			t.add(c(t.buf, vid))
+		}
+	}
+	b := t.buf
+	if r.Title != "" {
+		b = append(append(append(b, "== "...), r.Title...), " ==\n"...)
+	}
+	b = t.appendTo(b)
 	if r.MaxRows > 0 && len(s.V) > r.MaxRows {
-		fmt.Fprintf(w, "... (%d more)\n", len(s.V)-r.MaxRows)
+		b = append(strconv.AppendInt(append(b, "... ("...), int64(len(s.V)-r.MaxRows), 10), " more)\n"...)
 	}
-	var lintRows []string
+	disp := displayCell(s.PAG)
+	lint, lintHeader := g.AttrColumn(pag.AttrLint), false
 	for _, vid := range s.V {
-		v := s.PAG.G.Vertex(vid)
-		if f := v.Attr(pag.AttrLint); f != "" {
-			lintRows = append(lintRows, fmt.Sprintf("%s: %s", vertexDisplay(s.PAG, v), f))
-		}
-	}
-	if len(lintRows) > 0 {
-		fmt.Fprintln(w, "-- lint findings --")
-		for _, row := range lintRows {
-			fmt.Fprintln(w, row)
+		if f := lint.At(vid); f != "" {
+			if !lintHeader {
+				b, lintHeader = append(b, "-- lint findings --\n"...), true
+			}
+			b = append(append(append(disp(b, vid), ": "...), f...), '\n')
 		}
 	}
 	if len(s.E) > 0 {
-		fmt.Fprintf(w, "-- %d edges --\n", len(s.E))
+		b = append(strconv.AppendInt(append(b, "-- "...), int64(len(s.E)), 10), " edges --\n"...)
 		m := len(s.E)
 		if r.MaxRows > 0 && m > r.MaxRows {
 			m = r.MaxRows
 		}
-		for i := 0; i < m; i++ {
-			e := s.PAG.G.Edge(s.E[i])
-			src, dst := s.PAG.G.Vertex(e.Src), s.PAG.G.Vertex(e.Dst)
-			fmt.Fprintf(w, "%s %s -> %s", pag.EdgeLabelName(e.Label), vertexDisplay(s.PAG, src), vertexDisplay(s.PAG, dst))
+		for _, eid := range s.E[:m] {
+			e := g.Edge(eid)
+			b = append(append(b, pag.EdgeLabelName(e.Label)...), ' ')
+			b = append(disp(b, e.Src), " -> "...)
+			b = disp(b, e.Dst)
 			if wt := e.Metric(pag.MetricWait); wt > 0 {
-				fmt.Fprintf(w, "  wait=%.1f", wt)
+				b = strconv.AppendFloat(append(b, "  wait="...), wt, 'f', 1, 64)
 			}
-			fmt.Fprintln(w)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(b[len(t.buf):])
+	return err
 }
 
-func vertexDisplay(env *pag.PAG, v *graph.Vertex) string {
-	s := v.Name
-	if env.View == pag.Parallel {
-		if _, ok := v.LookupMetric(pag.MetricRank); ok {
-			r := int(v.Metric(pag.MetricRank))
-			t := int(v.Metric(pag.MetricThread))
-			if t >= 0 {
-				s = fmt.Sprintf("%s@p%d.t%d", s, r, t)
-			} else {
-				s = fmt.Sprintf("%s@p%d", s, r)
+// cell appends a vertex's value of one report column to b.
+type cell func(b []byte, v graph.VertexID) []byte
+
+// displayCell renders a vertex as "name@pR.tT (debug)" from columns
+// resolved once: the rank suffix only in a parallel view and only for
+// vertices with a rank, the thread only when it is not -1.
+func displayCell(env *pag.PAG) cell {
+	g := env.G
+	rank, thread, debug := g.MetricColumn(pag.MetricRank), g.MetricColumn(pag.MetricThread), g.AttrColumn(pag.AttrDebug)
+	return func(b []byte, v graph.VertexID) []byte {
+		b = append(b, g.Vertex(v).Name...)
+		if r, ok := rank.Lookup(v); env.View == pag.Parallel && ok {
+			b = strconv.AppendInt(append(b, "@p"...), int64(int(r)), 10)
+			if t := int(thread.At(v)); t >= 0 {
+				b = strconv.AppendInt(append(b, ".t"...), int64(t), 10)
 			}
 		}
+		if dbg := debug.At(v); dbg != "" {
+			b = append(append(append(b, " ("...), dbg...), ')')
+		}
+		return b
 	}
-	if dbg := v.Attr(pag.AttrDebug); dbg != "" {
-		s += " (" + dbg + ")"
-	}
-	return s
 }
 
-func renderAttr(env *pag.PAG, v *graph.Vertex, a string) string {
+// columnCell returns the cell of report column a, its columns resolved
+// once: a special ("name", "label", "rank", "comm-info"), or a key read as
+// a string attribute when the vertex has it, else as a scalar metric, else
+// "-"; "debug-info" and "dbg-info" name the debug attribute.
+func columnCell(g *graph.Graph, a string) cell {
 	switch a {
 	case "name":
-		return v.Name
+		return func(b []byte, v graph.VertexID) []byte { return append(b, g.Vertex(v).Name...) }
 	case "label":
-		return pag.VertexLabelName(v.Label)
+		return func(b []byte, v graph.VertexID) []byte { return append(b, pag.VertexLabelName(g.Vertex(v).Label)...) }
 	case "rank":
-		if v.NumMetrics() == 0 {
-			return "-"
+		rank := g.MetricColumn(pag.MetricRank)
+		return func(b []byte, v graph.VertexID) []byte {
+			if r, ok := rank.Lookup(v); ok || g.Vertex(v).NumMetrics() > 0 {
+				return strconv.AppendInt(b, int64(int(r)), 10)
+			}
+			return append(b, '-')
 		}
-		return fmt.Sprintf("%d", int(v.Metric(pag.MetricRank)))
 	case "comm-info":
-		if b := v.Metric(pag.MetricBytes); b > 0 {
-			return fmt.Sprintf("%.0fB x%d", b/maxf(v.Metric(pag.MetricCount), 1), int(v.Metric(pag.MetricCount)))
+		bytes, count := g.MetricColumn(pag.MetricBytes), g.MetricColumn(pag.MetricCount)
+		return func(b []byte, v graph.VertexID) []byte {
+			if x := bytes.At(v); x > 0 {
+				cnt, per := count.At(v), 1.0
+				if cnt > 1 {
+					per = cnt
+				}
+				b = strconv.AppendFloat(b, x/per, 'f', 0, 64)
+				return strconv.AppendInt(append(b, "B x"...), int64(int(cnt)), 10)
+			}
+			return append(b, '-')
 		}
-		return "-"
 	case "debug-info", "dbg-info":
 		a = pag.AttrDebug
 	}
-	if s, ok := v.LookupAttr(a); ok {
-		return s
+	attr, metric := g.AttrColumn(a), g.MetricColumn(a)
+	return func(b []byte, v graph.VertexID) []byte {
+		if s, ok := attr.Lookup(v); ok {
+			return append(b, s...)
+		}
+		if m, ok := metric.Lookup(v); ok {
+			return appendMetric(b, m)
+		}
+		return append(b, '-')
 	}
-	if m, ok := v.LookupMetric(a); ok {
-		return formatMetric(m)
-	}
-	return "-"
 }
 
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
+// appendMetric appends a metric value the way every report prints one:
+// three significant digits for magnitudes below 0.01 or from 1e7 up, an
+// integer when the value is one, else two decimals.
+func appendMetric(b []byte, m float64) []byte {
+	switch {
+	case m != 0 && (m < 0.01 && m > -0.01 || m >= 1e7 || m <= -1e7):
+		return strconv.AppendFloat(b, m, 'g', 3, 64)
+	case m == float64(int64(m)):
+		return strconv.AppendInt(b, int64(m), 10)
+	default:
+		return strconv.AppendFloat(b, m, 'f', 2, 64)
+	}
+}
+
+// table accumulates an aligned text table's cells in one buffer, row by
+// row, ncol cells a row.
+type table struct {
+	ncol int
+	buf  []byte
+	ends []int // end offset in buf of each cell, row-major
+}
+
+// add takes buf extended by the next cell's bytes: t.add(append(t.buf, s...)).
+func (t *table) add(buf []byte) {
+	t.buf = buf
+	t.ends = append(t.ends, len(buf))
+}
+
+// appendTo appends the table to b: columns padded to their widest cell
+// and joined by two spaces, each line's trailing spaces trimmed.
+func (t *table) appendTo(b []byte) []byte {
+	widths := make([]int, t.ncol)
+	start := 0
+	for i, e := range t.ends {
+		widths[i%t.ncol] = max(widths[i%t.ncol], e-start)
+		start = e
+	}
+	start, line := 0, 0
+	for i, e := range t.ends {
+		j := i % t.ncol
+		if j == 0 {
+			line = len(b)
+		} else {
+			b = append(b, "  "...)
+		}
+		b = append(b, t.buf[start:e]...)
+		if j < t.ncol-1 {
+			for k := e - start; k < widths[j]; k++ {
+				b = append(b, ' ')
+			}
+		} else {
+			for len(b) > line && b[len(b)-1] == ' ' {
+				b = b[:len(b)-1]
+			}
+			b = append(b, '\n')
+		}
+		start = e
 	}
 	return b
 }
 
-func formatMetric(m float64) string {
-	switch {
-	case m != 0 && (m < 0.01 && m > -0.01 || m >= 1e7 || m <= -1e7):
-		return fmt.Sprintf("%.3g", m)
-	case m == float64(int64(m)):
-		return fmt.Sprintf("%d", int64(m))
-	default:
-		return fmt.Sprintf("%.2f", m)
-	}
-}
-
+// writeAligned writes rows of equal length as an aligned table.
 func writeAligned(w io.Writer, rows [][]string) {
-	if len(rows) == 0 {
-		return
-	}
-	widths := make([]int, len(rows[0]))
+	t := table{ncol: len(rows[0])}
 	for _, row := range rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
+		for _, c := range row {
+			t.add(append(t.buf, c...))
 		}
 	}
-	for _, row := range rows {
-		var b strings.Builder
-		for i, c := range row {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			b.WriteString(c)
-			if i < len(row)-1 {
-				b.WriteString(strings.Repeat(" ", widths[i]-len(c)))
-			}
-		}
-		fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-	}
+	w.Write(t.appendTo(nil))
 }
 
 // ReportPass renders every input set to w and forwards them unchanged, so
@@ -214,9 +268,9 @@ func DOT(s *Set, name string) string {
 // sorted descending — the shape of mpiP-style statistical reports.
 func SummarizeByName(s *Set, metric string) []NameTotal {
 	totals := map[string]float64{}
+	m := s.PAG.G.MetricColumn(metric)
 	for _, vid := range s.V {
-		v := s.PAG.G.Vertex(vid)
-		totals[v.Name] += v.Metric(metric)
+		totals[s.PAG.G.Vertex(vid).Name] += m.At(vid)
 	}
 	out := make([]NameTotal, 0, len(totals))
 	for n, t := range totals {

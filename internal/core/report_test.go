@@ -89,8 +89,8 @@ func TestFormatMetricShapes(t *testing.T) {
 		12345678: "1.23e+07",
 	}
 	for in, want := range cases {
-		if got := formatMetric(in); got != want {
-			t.Errorf("formatMetric(%v) = %q, want %q", in, got, want)
+		if got := string(appendMetric(nil, in)); got != want {
+			t.Errorf("appendMetric(%v) = %q, want %q", in, got, want)
 		}
 	}
 }
@@ -153,8 +153,8 @@ func TestParallelViewVertexDisplay(t *testing.T) {
 	g.Vertex(v).SetMetric(pag.MetricThread, 1)
 	g.Vertex(v).SetAttr(pag.AttrDebug, "x.c:5")
 	env := &pag.PAG{G: g, View: pag.Parallel, NRanks: 4}
-	got := vertexDisplay(env, g.Vertex(v))
+	got := string(displayCell(env)(nil, v))
 	if got != "MPI_Wait@p3.t1 (x.c:5)" {
-		t.Errorf("vertexDisplay = %q", got)
+		t.Errorf("display = %q", got)
 	}
 }

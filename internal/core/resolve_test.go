@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
@@ -100,24 +101,24 @@ func TestProjectMatchesOracle(t *testing.T) {
 }
 
 // sortByOracle is SortBy(m).Top(n) spelled out: a stable sort by value,
-// descending, ties to the lower ID, absent values reading 0.
+// descending with NaN after every number, ties to the lower ID, absent
+// values reading 0.
 func sortByOracle(s *Set, m string, n int) []graph.VertexID {
 	ids := slices.Clone(s.V)
 	val := func(id graph.VertexID) float64 { return s.PAG.G.Vertex(id).Metric(m) }
 	sort.SliceStable(ids, func(i, j int) bool {
-		a, b := val(ids[i]), val(ids[j])
-		if a != b {
-			return a > b
+		if c := cmp.Compare(val(ids[j]), val(ids[i])); c != 0 {
+			return c < 0
 		}
 		return ids[i] < ids[j]
 	})
 	return ids[:min(n, len(ids))]
 }
 
-// TestHotspotMatchesSortByTop pins Hotspot to SortBy(m).Top(n) on random
-// columns with ties, signed zeros, NaN, infinities, negatives and absent
-// values, on an absent column, and for n around the set's length; columns
-// without NaN are also checked against the spelled-out stable sort.
+// TestHotspotMatchesSortByTop pins Hotspot to SortBy(m).Top(n) and to the
+// spelled-out stable sort on random columns with ties, signed zeros, NaN,
+// infinities, negatives and absent values, on an absent column, and for n
+// around the set's length.
 func TestHotspotMatchesSortByTop(t *testing.T) {
 	pool := []float64{0, math.Copysign(0, -1), 1, 1, 2.5, -1, -2.5, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
 	rng := rand.New(rand.NewSource(11))
@@ -150,17 +151,15 @@ func TestHotspotMatchesSortByTop(t *testing.T) {
 				if !slices.Equal(got.V, want.V) || !slices.Equal(got.E, want.E) || got.PAG != want.PAG {
 					t.Fatalf("trial %d %s n=%d: Hotspot %v/%v, SortBy.Top %v/%v", trial, metric, n, got.V, got.E, want.V, want.E)
 				}
-				if !withNaN || metric == "absent" {
-					if o := sortByOracle(in, metric, n); !slices.Equal(got.V, o) {
-						t.Fatalf("trial %d %s n=%d: Hotspot %v, stable sort %v", trial, metric, n, got.V, o)
-					}
+				if o := sortByOracle(in, metric, n); !slices.Equal(got.V, o) {
+					t.Fatalf("trial %d %s n=%d: Hotspot %v, stable sort %v", trial, metric, n, got.V, o)
 				}
 			}
 		}
 	}
 }
 
-// formatMetricFmt is formatMetric written with fmt, the form the report
+// formatMetricFmt is appendMetric written with fmt, the form the report
 // goldens were generated with.
 func formatMetricFmt(m float64) string {
 	switch {
@@ -182,8 +181,33 @@ func TestFormatMetricMatchesFmt(t *testing.T) {
 		1e7 - 1, 1<<53 + 1, -(1<<53 + 1), 123456.78901, 1e-300, 5e-324, 1e300,
 		math.Inf(1), math.Inf(-1), math.NaN(),
 	} {
-		if got, want := formatMetric(m), formatMetricFmt(m); got != want {
-			t.Errorf("formatMetric(%v) = %q, want %q", m, got, want)
+		if got, want := string(appendMetric(nil, m)), formatMetricFmt(m); got != want {
+			t.Errorf("appendMetric(%v) = %q, want %q", m, got, want)
+		}
+	}
+}
+
+// TestFusedHotspotTopZero runs hotspot with n = 0 fused into a scan with a
+// sibling, planned and unplanned: both give an empty set and no error.
+func TestFusedHotspotTopZero(t *testing.T) {
+	env := fakeEnv("MPI_Send", "MPI_Recv", "compute")
+	env.G.Vertex(1).SetMetric(pag.MetricExclTime, 5)
+	for _, plan := range []bool{true, false} {
+		g := NewPerFlowGraph()
+		src := g.AddSource("pag", AllVertices(env))
+		f := g.AddPass(FilterPass("MPI_*"))
+		h := g.AddPass(HotspotPass(pag.MetricExclTime, 0))
+		for _, n := range []*PNode{f, h} {
+			if err := g.Connect(src, 0, n, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := g.Run(WithPlanning(plan))
+		if err != nil {
+			t.Fatalf("planning %v: %v", plan, err)
+		}
+		if got := res.Output(h).Len(); got != 0 {
+			t.Errorf("planning %v: hotspot top 0 kept %d vertices", plan, got)
 		}
 	}
 }

@@ -136,10 +136,10 @@ func (s *Set) SortByAbs(metric string) *Set {
 	return c
 }
 
-// sortByColumn stably orders ids by col value (absolute value when abs),
-// descending, ties to the lower ID; a nil column reads 0 everywhere.
-// slices.SortStableFunc runs the same insertion-sort-and-merge sequence as
-// sort.SliceStable, so the order is the comparator's even on NaN keys.
+// sortByColumn orders ids by col value (absolute value when abs) under
+// cmpKeyed: descending, NaN last, ties to the lower ID; a nil column reads
+// 0 everywhere. cmpKeyed is total, so an unstable sort gives the one order
+// a stable sort would.
 func sortByColumn(ids []graph.VertexID, col []float64, abs bool) {
 	key := func(id graph.VertexID) float64 {
 		if col == nil {
@@ -151,7 +151,7 @@ func sortByColumn(ids []graph.VertexID, col []float64, abs bool) {
 		}
 		return x
 	}
-	slices.SortStableFunc(ids, func(a, b graph.VertexID) int {
+	slices.SortFunc(ids, func(a, b graph.VertexID) int {
 		return cmpKeyed(keyed{a, key(a)}, keyed{b, key(b)})
 	})
 }

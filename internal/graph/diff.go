@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"cmp"
+	"hash/maphash"
+	"slices"
+)
+
 // Graph difference (paper §4.3.2 B, Figure 7): given two PAGs of the same
 // program under different inputs or scales, produce a graph with the same
 // structure whose vertex metrics are the (signed) differences. Differential
@@ -14,48 +20,90 @@ package graph
 // differenced element-wise up to the shorter length, with the longer tail
 // kept signed like scalars. String attributes are copied from g1.
 func Diff(g1, g2 *Graph) *Graph {
-	type key struct {
-		name  string
-		label int
-		dbg   string
-	}
-	// Twins pair up in ID order: head holds each key's first unmatched g2
-	// vertex and next chains the rest.
-	n2 := g2.NumVertices()
-	head := make(map[key]VertexID, n2)
-	next := make([]VertexID, n2)
-	for i := n2 - 1; i >= 0; i-- {
-		v := g2.Vertex(VertexID(i))
-		k := key{v.Name, v.Label, v.Attr("debug")}
-		next[i] = NoVertex
-		if h, ok := head[k]; ok {
-			next[i] = h
-		}
-		head[k] = VertexID(i)
-	}
-
 	n := g1.NumVertices()
 	out := New(n, g1.NumEdges())
 	out.copyStructure(g1)
-	twin := make([]VertexID, n) // g2's match of each g1 vertex, or NoVertex
-	for i := 0; i < n; i++ {
-		v1 := g1.Vertex(VertexID(i))
-		k := key{v1.Name, v1.Label, v1.Attr("debug")}
-		twin[i] = NoVertex
-		if h, ok := head[k]; ok {
-			twin[i] = h
-			if next[h] == NoVertex {
-				delete(head, k)
-			} else {
-				head[k] = next[h]
-			}
-		}
-	}
+	twin := twins(g1, g2)
 	out.vprops.str.copyFrom(out.vprops, &g1.vprops.str, 0, n, nil, nil)
 	out.eprops.str.copyFrom(out.eprops, &g1.eprops.str, 0, g1.NumEdges(), g1.edgeRows(), nil)
 	diffColumns(out.vprops, &out.vprops.scalar, &g1.vprops.scalar, &g2.vprops.scalar, twin, scalarDiff{})
 	diffColumns(out.vprops, &out.vprops.vec, &g1.vprops.vec, &g2.vprops.vec, twin, &vecDiff{})
 	return out
+}
+
+// twins returns g2's match of each g1 vertex, or NoVertex: twins share
+// (Name, Label, debug), and the k-th g1 vertex of a key in ID order pairs
+// with the k-th g2 vertex of that key. Both vertex sets are sorted by
+// (hash of the key, key, ID) and merged, so no map is built, strings are
+// compared only where hashes tie, and no order is kept on either graph for
+// a later attribute write to make stale.
+func twins(g1, g2 *Graph) []VertexID {
+	seed := maphash.MakeSeed()
+	d1, d2 := g1.AttrColumn("debug"), g2.AttrColumn("debug")
+	s1, s2 := twinKeys(g1, d1, seed), twinKeys(g2, d2, seed)
+	twin := make([]VertexID, len(s1))
+	j := 0
+	for _, a := range s1 {
+		c := 1
+		for ; j < len(s2); j++ {
+			if c = cmpTwin(g2, d2, s2[j], g1, d1, a); c >= 0 {
+				break
+			}
+		}
+		twin[a.v] = NoVertex
+		if c == 0 {
+			twin[a.v] = s2[j].v
+			j++
+		}
+	}
+	return twin
+}
+
+// twinKey is a vertex with the hash of its twin key.
+type twinKey struct {
+	h uint16
+	v VertexID
+}
+
+// twinKeys returns g's vertices sorted by (hash, key, ID): a byte-wise
+// radix sort on the hash, stable so equal hashes stay in ID order, then a
+// stable sort by key of each run of equal hashes.
+func twinKeys(g *Graph, dbg Column[string], seed maphash.Seed) []twinKey {
+	ks, tmp := make([]twinKey, len(g.vertices)), make([]twinKey, len(g.vertices))
+	for i := range g.vertices {
+		v := &g.vertices[i]
+		h := maphash.String(seed, v.Name)*31 + maphash.String(seed, dbg.At(v.ID))
+		ks[i] = twinKey{uint16(h*31 + uint64(v.Label)), v.ID}
+	}
+	for shift := 0; shift < 16; shift += 8 {
+		var at [256]int
+		for _, k := range ks {
+			at[byte(k.h>>shift)]++
+		}
+		for b, sum := 0, 0; b < 256; b++ {
+			at[b], sum = sum, sum+at[b]
+		}
+		for _, k := range ks {
+			tmp[at[byte(k.h>>shift)]] = k
+			at[byte(k.h>>shift)]++
+		}
+		ks, tmp = tmp, ks
+	}
+	for i, j := 0, 0; i < len(ks); i = j {
+		for j = i + 1; j < len(ks) && ks[j].h == ks[i].h; j++ {
+		}
+		slices.SortStableFunc(ks[i:j], func(a, b twinKey) int { return cmpTwin(g, dbg, a, g, dbg, b) })
+	}
+	return ks
+}
+
+// cmpTwin orders twin keys of graphs x and y by hash, then by key.
+func cmpTwin(x *Graph, dx Column[string], a twinKey, y *Graph, dy Column[string], b twinKey) int {
+	if a.h != b.h {
+		return cmp.Compare(a.h, b.h)
+	}
+	va, vb := &x.vertices[a.v], &y.vertices[b.v]
+	return cmp.Or(cmp.Compare(va.Name, vb.Name), cmp.Compare(va.Label, vb.Label), cmp.Compare(dx.At(a.v), dy.At(b.v)))
 }
 
 // diffColumns fills column table o, row by row over g1's vertices, from

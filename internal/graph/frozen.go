@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 )
 
@@ -227,8 +228,8 @@ func (f *Frozen) BFS(start VertexID, visit func(VertexID) bool) {
 	f.putScratch(s)
 }
 
-// ReverseBFS visits every vertex from which start is reachable, in the same
-// order as Graph.ReverseBFS, allocation-free.
+// ReverseBFS visits every vertex from which start is reachable (walking
+// incoming edges) in breadth-first order, allocation-free.
 func (f *Frozen) ReverseBFS(start VertexID, visit func(VertexID) bool) {
 	f.check()
 	if start < 0 || int(start) >= f.NumVertices() {
@@ -299,7 +300,7 @@ func (f *Frozen) Acyclic() bool {
 }
 
 // Depths returns, for every vertex, the length of the longest path from any
-// root to it (Graph.Depths on the snapshot), or ok=false on cyclic graphs.
+// root (in-degree-zero vertex) to it, or ok=false on cyclic graphs.
 func (f *Frozen) Depths() (depths []int32, ok bool) {
 	order, ok := f.TopoSort()
 	if !ok {
@@ -316,11 +317,13 @@ func (f *Frozen) Depths() (depths []int32, ok bool) {
 	return depths, true
 }
 
-// CriticalPath returns the maximum-weight path through the DAG, exactly as
-// Graph.CriticalPath, with the weights read from columns instead of
-// callbacks: vw and ew are a VertexMetricColumn and an EdgeMetricColumn of
-// this graph, and a nil column weighs 0. The distance and predecessor
-// arrays come from the scratch pool — only the result path is allocated.
+// CriticalPath returns the maximum-weight path through the DAG — the
+// critical path of the critical-path paradigm (paper §4.4): the sum of its
+// vertex weights vw plus its edge weights ew, a VertexMetricColumn and an
+// EdgeMetricColumn of this graph (a nil column weighs 0). It returns the
+// vertices in path order, the edges connecting them and the total weight;
+// nil, nil, 0 on a cyclic graph. The distance and predecessor arrays come
+// from the scratch pool — only the result path is allocated.
 func (f *Frozen) CriticalPath(vw, ew []float64) ([]VertexID, []EdgeID, float64) {
 	order, ok := f.TopoSort()
 	if !ok {
@@ -378,7 +381,7 @@ func (f *Frozen) CriticalPath(vw, ew []float64) ([]VertexID, []EdgeID, float64) 
 	}
 	total := dist[end]
 	f.putScratch(s)
-	reverseV(vRev)
-	reverseE(eRev)
+	slices.Reverse(vRev)
+	slices.Reverse(eRev)
 	return vRev, eRev, total
 }

@@ -1,80 +1,9 @@
 package graph
 
-import "sort"
-
-// Critical-path extraction on weighted DAGs, used by the critical-path
-// paradigm (paper §4.4, inspired by Böhme et al. and Schmitt et al.):
-// the critical path of a parallel execution is the longest weighted path
-// through the dependence graph; shrinking work on it shortens the run.
-
-// CriticalPath returns the maximum-weight path through the DAG, where the
-// weight of a path is the sum of vertex weights (weight(v) for each vertex
-// on the path) plus edge weights (edgeWeight(e), may be nil for 0).
-// It returns the vertices in path order, the edges connecting them, and the
-// total weight. On a cyclic graph it returns nil, nil, 0.
-func (g *Graph) CriticalPath(weight func(*Vertex) float64, edgeWeight func(*Edge) float64) ([]VertexID, []EdgeID, float64) {
-	order, ok := g.TopoSort()
-	if !ok {
-		return nil, nil, 0
-	}
-	n := g.NumVertices()
-	if n == 0 {
-		return nil, nil, 0
-	}
-	dist := make([]float64, n)
-	prev := make([]EdgeID, n)
-	for i := range prev {
-		prev[i] = NoEdge
-		dist[i] = weight(&g.vertices[i])
-	}
-	for _, v := range order {
-		for _, eid := range g.out[v] {
-			e := &g.edges[eid]
-			ew := 0.0
-			if edgeWeight != nil {
-				ew = edgeWeight(e)
-			}
-			cand := dist[v] + ew + weight(&g.vertices[e.Dst])
-			if cand > dist[e.Dst] {
-				dist[e.Dst] = cand
-				prev[e.Dst] = eid
-			}
-		}
-	}
-	// Find the global maximum endpoint.
-	end := VertexID(0)
-	for i := 1; i < n; i++ {
-		if dist[i] > dist[end] {
-			end = VertexID(i)
-		}
-	}
-	var vRev []VertexID
-	var eRev []EdgeID
-	for v := end; ; {
-		vRev = append(vRev, v)
-		eid := prev[v]
-		if eid == NoEdge {
-			break
-		}
-		eRev = append(eRev, eid)
-		v = g.edges[eid].Src
-	}
-	reverseV(vRev)
-	reverseE(eRev)
-	return vRev, eRev, dist[end]
-}
-
-func reverseV(s []VertexID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
-
-func reverseE(s []EdgeID) {
-	for i, j := 0, len(s)-1; i < j; i, j = i+1, j-1 {
-		s[i], s[j] = s[j], s[i]
-	}
-}
+import (
+	"slices"
+	"sort"
+)
 
 // ShortestPath returns one minimum-hop path src -> dst as edge IDs, or nil
 // if dst is unreachable from src.
@@ -109,7 +38,7 @@ func (g *Graph) ShortestPath(src, dst VertexID) []EdgeID {
 					rev = append(rev, e)
 					u = g.edges[e].Src
 				}
-				reverseE(rev)
+				slices.Reverse(rev)
 				return rev
 			}
 			queue = append(queue, d)

@@ -84,19 +84,10 @@ func (t *table[T]) col(p *props, k string) *column[T] {
 }
 
 // lookup returns the value of key k at row i and whether it is present.
-func (t *table[T]) lookup(k string, i int) (T, bool) {
-	if c := t.get(k); c != nil && c.has[i] {
-		return c.vals[i], true
-	}
-	var zero T
-	return zero, false
-}
+func (t *table[T]) lookup(k string, i int) (T, bool) { return Column[T]{t.get(k)}.Lookup(VertexID(i)) }
 
 // at returns the value of key k at row i, or the zero value.
-func (t *table[T]) at(k string, i int) T {
-	x, _ := t.lookup(k, i)
-	return x
-}
+func (t *table[T]) at(k string, i int) T { return Column[T]{t.get(k)}.At(VertexID(i)) }
 
 // set stores x as key k at row i.
 func (t *table[T]) set(p *props, k string, i int, x T) {
@@ -257,6 +248,43 @@ func (g *Graph) VertexMetricColumn(m string) []float64 {
 		return c.vals
 	}
 	return nil
+}
+
+// Column is a read handle on one key's column of a graph's vertices,
+// indexed by VertexID: a pass or renderer takes it once and reads every
+// row through it instead of resolving the key per row. The handle of a key
+// no vertex has reads absent everywhere; a handle stays valid across
+// AddVertex but does not see a column created after it was taken.
+type Column[T any] struct{ c *column[T] }
+
+// Lookup returns v's value and whether v has it.
+func (c Column[T]) Lookup(v VertexID) (T, bool) {
+	if c.c == nil || !c.c.has[v] {
+		var zero T
+		return zero, false
+	}
+	return c.c.vals[v], true
+}
+
+// At returns v's value, or the zero value when v has none.
+func (c Column[T]) At(v VertexID) T {
+	x, _ := c.Lookup(v)
+	return x
+}
+
+// MetricColumn returns the handle of scalar metric m's vertex column.
+func (g *Graph) MetricColumn(m string) Column[float64] {
+	return Column[float64]{g.vprops.scalar.get(m)}
+}
+
+// AttrColumn returns the handle of string attribute k's vertex column.
+func (g *Graph) AttrColumn(k string) Column[string] {
+	return Column[string]{g.vprops.str.get(k)}
+}
+
+// VecColumn returns the handle of vector metric m's vertex column.
+func (g *Graph) VecColumn(m string) Column[[]float64] {
+	return Column[[]float64]{g.vprops.vec.get(m)}
 }
 
 // WritableVertexMetric returns the value and presence slices of scalar

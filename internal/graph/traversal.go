@@ -1,8 +1,8 @@
 package graph
 
-// This file provides the traversal primitives used by PerFlow passes:
-// breadth-first search, depth-first search (pre-order), topological sort and
-// cycle detection, and reachability sets.
+// Traversals on the mutable graph: breadth-first search, depth-first
+// search (pre-order) and reachability sets. Passes traverse the Frozen
+// snapshot, which also holds the topological order.
 
 // BFS visits every vertex reachable from start in breadth-first order,
 // calling visit for each. If visit returns false the traversal stops early.
@@ -39,31 +39,6 @@ func (g *Graph) BFSOrder(start VertexID) []VertexID {
 		return true
 	})
 	return order
-}
-
-// ReverseBFS visits every vertex from which start is reachable (i.e. walks
-// incoming edges), in breadth-first order.
-func (g *Graph) ReverseBFS(start VertexID, visit func(VertexID) bool) {
-	if !g.HasVertex(start) {
-		return
-	}
-	seen := make([]bool, len(g.vertices))
-	queue := []VertexID{start}
-	seen[start] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if !visit(v) {
-			return
-		}
-		for _, eid := range g.in[v] {
-			s := g.edges[eid].Src
-			if !seen[s] {
-				seen[s] = true
-				queue = append(queue, s)
-			}
-		}
-	}
 }
 
 // DFSPreorder visits every vertex reachable from start in depth-first
@@ -125,46 +100,6 @@ func (g *Graph) DFSPreorderFiltered(start VertexID, follow func(*Edge) bool, vis
 	}
 }
 
-// TopoSort returns a topological order of all vertices, or ok=false if the
-// graph contains a cycle. Kahn's algorithm; ties broken by vertex ID for
-// determinism.
-func (g *Graph) TopoSort() (order []VertexID, ok bool) {
-	n := len(g.vertices)
-	indeg := make([]int, n)
-	for i := range g.vertices {
-		indeg[i] = len(g.in[i])
-	}
-	// Min-heap by ID would be O(E log V); with dense IDs a simple sorted
-	// frontier per round is adequate for PAG sizes. Use a FIFO of ready
-	// vertices seeded in ID order.
-	ready := make([]VertexID, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			ready = append(ready, VertexID(i))
-		}
-	}
-	order = make([]VertexID, 0, n)
-	for len(ready) > 0 {
-		v := ready[0]
-		ready = ready[1:]
-		order = append(order, v)
-		for _, eid := range g.out[v] {
-			d := g.edges[eid].Dst
-			indeg[d]--
-			if indeg[d] == 0 {
-				ready = append(ready, d)
-			}
-		}
-	}
-	return order, len(order) == n
-}
-
-// HasCycle reports whether g contains a directed cycle.
-func (g *Graph) HasCycle() bool {
-	_, ok := g.TopoSort()
-	return !ok
-}
-
 // Reachable returns the set of vertices reachable from start (including
 // start itself) as a boolean slice indexed by VertexID.
 func (g *Graph) Reachable(start VertexID) []bool {
@@ -186,25 +121,4 @@ func (g *Graph) Reachable(start VertexID) []bool {
 		}
 	}
 	return seen
-}
-
-// Depths returns, for every vertex, the length of the longest path from any
-// root (in-degree-zero vertex) to it. Only valid on DAGs; returns ok=false
-// on cyclic graphs. Depth of a root is 0. Used by the DAG lowest-common-
-// ancestor search, which wants the "deepest" common ancestor.
-func (g *Graph) Depths() (depths []int, ok bool) {
-	order, ok := g.TopoSort()
-	if !ok {
-		return nil, false
-	}
-	depths = make([]int, len(g.vertices))
-	for _, v := range order {
-		for _, eid := range g.out[v] {
-			d := g.edges[eid].Dst
-			if depths[v]+1 > depths[d] {
-				depths[d] = depths[v] + 1
-			}
-		}
-	}
-	return depths, true
 }

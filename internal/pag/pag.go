@@ -13,7 +13,9 @@
 package pag
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"perflow/internal/graph"
 	"perflow/internal/ir"
@@ -157,8 +159,10 @@ type PAG struct {
 	// nodeOf maps every vertex back to its IR node (NoNode for synthetic
 	// vertices such as resources).
 	nodeOf []ir.NodeID
-	// flowIdx maps (rank, thread, node) to parallel-view vertices.
-	flowIdx map[FlowKey]graph.VertexID
+	// flowOff and flows are the parallel view's flow index, node-major:
+	// the flow vertices of IR node n are flows[flowOff[n]:flowOff[n+1]].
+	flowOff []int32
+	flows   []Flow
 }
 
 // FlowKey identifies a parallel-view flow vertex.
@@ -166,6 +170,13 @@ type FlowKey struct {
 	Rank   int32
 	Thread int32 // -1 at rank level
 	Node   ir.NodeID
+}
+
+// Flow is one entry of the flow index: the vertex V of an IR node on the
+// flow of (Rank, Thread).
+type Flow struct {
+	Rank, Thread int32
+	V            graph.VertexID
 }
 
 // VertexOf returns the top-down vertex for an IR node, or NoVertex.
@@ -185,16 +196,64 @@ func (p *PAG) NodeOf(v graph.VertexID) ir.NodeID {
 	return p.nodeOf[v]
 }
 
+// Flows returns the flow vertices of IR node n sorted by (rank, thread),
+// thread -1 (the rank level) first; none outside a parallel view. The
+// slice is owned by p.
+func (p *PAG) Flows(n ir.NodeID) []Flow {
+	if n < 0 || int(n) >= len(p.flowOff)-1 {
+		return nil
+	}
+	return p.flows[p.flowOff[n]:p.flowOff[n+1]]
+}
+
 // FlowVertex returns the parallel-view vertex for (rank, thread, node), or
 // NoVertex.
 func (p *PAG) FlowVertex(rank, thread int32, n ir.NodeID) graph.VertexID {
-	if p.flowIdx == nil {
-		return graph.NoVertex
-	}
-	if v, ok := p.flowIdx[FlowKey{rank, thread, n}]; ok {
-		return v
+	fs := p.Flows(n)
+	if i, ok := slices.BinarySearchFunc(fs, Flow{Rank: rank, Thread: thread}, cmpFlow); ok {
+		return fs[i].V
 	}
 	return graph.NoVertex
+}
+
+func cmpFlow(a, b Flow) int {
+	return cmp.Or(cmp.Compare(a.Rank, b.Rank), cmp.Compare(a.Thread, b.Thread))
+}
+
+// indexFlows builds the flow index from nodeOf and the rank and thread
+// columns: every vertex with an IR node and both metrics is the flow
+// vertex of its (rank, thread, node). A key two vertices share, which only
+// a hand-made file can hold, keeps both.
+func (p *PAG) indexFlows() {
+	rank, thread := p.G.MetricColumn(MetricRank), p.G.MetricColumn(MetricThread)
+	flowOf := func(v int) (Flow, bool) {
+		r, okR := rank.Lookup(graph.VertexID(v))
+		t, okT := thread.Lookup(graph.VertexID(v))
+		return Flow{int32(r), int32(t), graph.VertexID(v)}, okR && okT && p.nodeOf[v] >= 0
+	}
+	off := []int32{0} // per node: its flow count, then its first flow
+	for v, n := range p.nodeOf {
+		if _, ok := flowOf(v); ok {
+			for int(n)+1 >= len(off) {
+				off = append(off, 0)
+			}
+			off[n+1]++
+		}
+	}
+	for n := 1; n < len(off); n++ {
+		off[n] += off[n-1]
+	}
+	flows, next := make([]Flow, off[len(off)-1]), slices.Clone(off)
+	for v, n := range p.nodeOf {
+		if f, ok := flowOf(v); ok {
+			flows[next[n]] = f
+			next[n]++
+		}
+	}
+	for n := 0; n+1 < len(off); n++ {
+		slices.SortFunc(flows[off[n]:off[n+1]], cmpFlow)
+	}
+	p.flowOff, p.flows = off, flows
 }
 
 // labelFor maps an IR node to its PAG vertex label.

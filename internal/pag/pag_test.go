@@ -103,7 +103,7 @@ func TestBuildTopDownStructure(t *testing.T) {
 		t.Error("missing inter-procedural edge call->function")
 	}
 	// The top-down view must be acyclic (paper Fig 4 merges function DAGs).
-	if pg.G.HasCycle() {
+	if !pg.G.Frozen().Acyclic() {
 		t.Error("top-down view has a cycle")
 	}
 }

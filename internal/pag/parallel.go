@@ -3,6 +3,7 @@ package pag
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -66,12 +67,14 @@ func BuildParallelOpts(run *trace.Run, opts BuildOptions) *PAG {
 		View:     Parallel,
 		NRanks:   run.NRanks,
 		NThreads: run.ThreadsPerRank,
-		flowIdx:  make(map[FlowKey]graph.VertexID, totalV),
 	}
 	p.nodeOf = make([]ir.NodeID, 0, totalV+64)
 	b := &mergedBuilder{
 		p:       p,
 		run:     run,
+		shards:  shards,
+		offs:    make([]graph.VertexID, len(shards)),
+		extra:   map[FlowKey]graph.VertexID{},
 		streams: make(map[flowID][]graph.VertexID, 2*len(shards)),
 		edgeIdx: make(map[edgeKey]graph.EdgeID, totalE+len(run.Syncs)),
 	}
@@ -79,15 +82,15 @@ func BuildParallelOpts(run *trace.Run, opts BuildOptions) *PAG {
 	// Deterministic merge: shards append in rank order, which reproduces the
 	// IDs a sequential rank-by-rank build assigns. Each shard's metric and
 	// attribute columns are copied as one range per key.
-	for _, sh := range shards {
+	for r, sh := range shards {
 		off := graph.VertexID(p.G.NumVertices())
 		eoff := graph.EdgeID(p.G.NumEdges())
+		b.offs[r] = off
 		for lv := 0; lv < sh.g.NumVertices(); lv++ {
 			v := sh.g.Vertex(graph.VertexID(lv))
-			id := p.G.AddVertex(v.Name, v.Label)
-			p.nodeOf = append(p.nodeOf, sh.nodeOf[lv])
-			p.flowIdx[sh.keys[lv]] = id
+			p.G.AddVertex(v.Name, v.Label)
 		}
+		p.nodeOf = append(p.nodeOf, sh.nodeOf...)
 		for le := 0; le < sh.g.NumEdges(); le++ {
 			e := sh.g.Edge(graph.EdgeID(le))
 			id := p.G.AddEdge(off+e.Src, off+e.Dst, e.Label)
@@ -105,6 +108,7 @@ func BuildParallelOpts(run *trace.Run, opts BuildOptions) *PAG {
 
 	b.addSyncEdges()
 	b.addResourceVertices()
+	p.indexFlows()
 	return p
 }
 
@@ -171,7 +175,6 @@ type rankShard struct {
 
 	g          *graph.Graph
 	nodeOf     []ir.NodeID                // per local vertex
-	keys       []FlowKey                  // per local vertex: its flow key
 	flowIdx    map[FlowKey]graph.VertexID // (rank,thread,node) -> local vertex
 	edgeIdx    map[edgeKey]graph.EdgeID   // aggregated-edge dedup index
 	streams    map[int32][]graph.VertexID // per thread: flow vertex sequence
@@ -224,7 +227,6 @@ func (sh *rankShard) vertexFor(thread int32, node ir.NodeID) graph.VertexID {
 	v.SetMetric(MetricRank, float64(sh.rank))
 	v.SetMetric(MetricThread, float64(thread))
 	sh.flowIdx[k] = id
-	sh.keys = append(sh.keys, k)
 	sh.inStream = append(sh.inStream, false)
 	return id
 }
@@ -294,7 +296,7 @@ func (sh *rankShard) forkJoinRegion(regionV graph.VertexID, regionIdx int, evs [
 	for t := range firstOf {
 		threads = append(threads, t)
 	}
-	sort.Slice(threads, func(i, j int) bool { return threads[i] < threads[j] })
+	slices.Sort(threads)
 	for _, t := range threads {
 		sh.ensureEdge(regionV, firstOf[t], EdgeInterThread)
 		sh.pendingJoins = append(sh.pendingJoins, lastOf[t])
@@ -336,16 +338,25 @@ func accumulate(g *graph.Graph, v graph.VertexID, e *trace.Event) {
 type mergedBuilder struct {
 	p       *PAG
 	run     *trace.Run
+	shards  []*rankShard
+	offs    []graph.VertexID           // per rank: its shard's first merged vertex
+	extra   map[FlowKey]graph.VertexID // flow vertices created after the merge
 	streams map[flowID][]graph.VertexID
 	edgeIdx map[edgeKey]graph.EdgeID
 }
 
 // vertexFor returns (creating if needed) the merged-graph flow vertex for
-// (rank, thread, node). Sync records can reference flows with no recorded
+// (rank, thread, node), found through its rank's shard index plus the
+// shard's offset. Sync records can reference flows with no recorded
 // events; their vertices appear here, after all rank shards.
 func (b *mergedBuilder) vertexFor(rank, thread int32, node ir.NodeID) graph.VertexID {
 	k := FlowKey{Rank: rank, Thread: thread, Node: node}
-	if v, ok := b.p.flowIdx[k]; ok {
+	if rank >= 0 && int(rank) < len(b.shards) {
+		if v, ok := b.shards[rank].flowIdx[k]; ok {
+			return b.offs[rank] + v
+		}
+	}
+	if v, ok := b.extra[k]; ok {
 		return v
 	}
 	n := b.run.Program.Node(node)
@@ -359,7 +370,7 @@ func (b *mergedBuilder) vertexFor(rank, thread int32, node ir.NodeID) graph.Vert
 	v := b.p.G.Vertex(id)
 	v.SetMetric(MetricRank, float64(rank))
 	v.SetMetric(MetricThread, float64(thread))
-	b.p.flowIdx[k] = id
+	b.extra[k] = id
 	return id
 }
 
@@ -446,11 +457,10 @@ func (b *mergedBuilder) addResourceVertices() {
 		rv.SetMetric(MetricThread, -1)
 		b.p.nodeOf = append(b.p.nodeOf, ir.NoNode)
 
-		ins := sortedVertexSet(contributors[k])
-		for _, c := range ins {
+		for _, c := range sortedKeys(contributors[k]) {
 			b.ensureEdge(c, rid, EdgeInterThread)
 		}
-		for _, w := range sortedWaiters(waiters[k]) {
+		for _, w := range sortedKeys(waiters[k]) {
 			next := b.continuation(w)
 			if next == graph.NoVertex {
 				next = w
@@ -491,21 +501,13 @@ func (b *mergedBuilder) continuation(v graph.VertexID) graph.VertexID {
 	return graph.NoVertex
 }
 
-func sortedVertexSet(m map[graph.VertexID]bool) []graph.VertexID {
+// sortedKeys returns the vertices of m in ascending order.
+func sortedKeys[V any](m map[graph.VertexID]V) []graph.VertexID {
 	out := make([]graph.VertexID, 0, len(m))
 	for v := range m {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-func sortedWaiters(m map[graph.VertexID]float64) []graph.VertexID {
-	out := make([]graph.VertexID, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 

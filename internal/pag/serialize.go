@@ -23,6 +23,9 @@ import (
 const (
 	pagMagic   = 0x50414747 // "PAGG"
 	pagVersion = 1
+	// maxNodeID bounds the IR node IDs of a file: they are dense program
+	// indices, and the flow index is sized by the largest.
+	maxNodeID = 1<<22 - 1
 )
 
 // Save writes the PAG to w.
@@ -93,7 +96,11 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
 			return nil, err
 		}
-		p.nodeOf = append(p.nodeOf, ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:]))))
+		n := ir.NodeID(int32(binary.LittleEndian.Uint32(buf[:])))
+		if n < ir.NoNode || n > maxNodeID {
+			return nil, fmt.Errorf("pag: node id %d out of range", n)
+		}
+		p.nodeOf = append(p.nodeOf, n)
 	}
 	g, err := graph.ReadFrom(br)
 	if err != nil {
@@ -117,16 +124,7 @@ func Load(r io.Reader, prog *ir.Program) (*PAG, error) {
 		}
 	}
 	if p.View == Parallel {
-		p.flowIdx = make(map[FlowKey]graph.VertexID, g.NumVertices())
-		for i := 0; i < g.NumVertices(); i++ {
-			v := g.Vertex(graph.VertexID(i))
-			r, hasR := v.LookupMetric(MetricRank)
-			t, hasT := v.LookupMetric(MetricThread)
-			if !hasR || !hasT || p.nodeOf[i] == ir.NoNode {
-				continue
-			}
-			p.flowIdx[FlowKey{Rank: int32(r), Thread: int32(t), Node: p.nodeOf[i]}] = graph.VertexID(i)
-		}
+		p.indexFlows()
 	}
 	return p, nil
 }

@@ -4,7 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -279,21 +281,22 @@ func (d *Disk) evictLocked(keep string) []string {
 	return victims
 }
 
-// rescan walks the store directory, validating and indexing every entry
-// file; invalid files are deleted, already-indexed keys keep their
-// recency. In-flight temp files of concurrent writers are skipped — they
-// are either about to be renamed into place or are a crash's orphans for
-// the next open's sweep.
+// rescan walks the store directory, indexing every entry file from its
+// headers alone: the value is neither read nor checked here (Get checks
+// the headers again, and the caller the value), so a rescan costs two
+// small reads a file, not the store's size. Files whose headers fail are
+// deleted; already-indexed keys keep their recency. In-flight temp files
+// of concurrent writers are skipped — they are either about to be renamed
+// into place or are a crash's orphans for the next open's sweep.
 func (d *Disk) rescan() error {
 	return filepath.WalkDir(d.dir, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() || strings.HasPrefix(de.Name(), frame.TempPrefix) {
 			return nil // a vanished file or unreadable subdir is not fatal
 		}
-		buf, rerr := os.ReadFile(path)
+		key, size, ok, rerr := readHeaders(path)
 		if rerr != nil {
 			return nil
 		}
-		key, val, ok := decode(buf)
 		if !ok {
 			os.Remove(path)
 			d.mu.Lock()
@@ -303,10 +306,52 @@ func (d *Disk) rescan() error {
 		}
 		d.mu.Lock()
 		if _, ok := d.index[key]; !ok {
-			d.index[key] = &diskEntry{size: int64(len(val))}
-			d.bytes += int64(len(val))
+			d.index[key] = &diskEntry{size: size}
+			d.bytes += size
 		}
 		d.mu.Unlock()
 		return nil
 	})
+}
+
+// readHeaders reads an entry file's frame and key headers and returns its
+// key and value size, the file's size less the headers: the outcome decode
+// gives for the whole file. ok is false when the headers do not decode;
+// err reports a file that could not be read.
+func readHeaders(path string) (key string, size int64, ok bool, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return "", 0, false, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return "", 0, false, err
+	}
+	var hdr [frame.HeaderLen + 4]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return "", 0, false, shortIsDamage(err)
+	}
+	rest, herr := frame.ReadHeader(hdr[:], diskMagic, diskVersion)
+	if herr != nil {
+		return "", 0, false, nil
+	}
+	n := int64(binary.LittleEndian.Uint32(rest))
+	if int64(len(hdr))+n > st.Size() {
+		return "", 0, false, nil
+	}
+	kb := make([]byte, n)
+	if _, err := io.ReadFull(f, kb); err != nil {
+		return "", 0, false, shortIsDamage(err)
+	}
+	return string(kb), st.Size() - int64(len(hdr)) - n, true, nil
+}
+
+// shortIsDamage maps a read that ran out of file to nil (damage the
+// caller sees as ok == false) and passes any other error through.
+func shortIsDamage(err error) error {
+	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+		return nil
+	}
+	return err
 }

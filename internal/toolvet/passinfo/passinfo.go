@@ -15,8 +15,9 @@
 //     Reads/Writes entries as printed expressions ("*" is a wildcard, and
 //     NewEnv exempts writes — they land in a derived environment).
 //   - It then walks the pass expression for key accesses — Metric/Attr/Vec,
-//     their Lookup* forms and the Vertex/EdgeMetricColumn reads read,
-//     SetMetric/SetAttr/SetVec/AddMetric/AddVecAt write, and the Each*/Num*
+//     their Lookup* forms, the Vertex/EdgeMetricColumn reads and the
+//     Metric/Attr/VecColumn handles read, SetMetric/SetAttr/SetVec/
+//     AddMetric/AddVecAt and the Writable* columns write, and the Each*/Num*
 //     enumerations read every key ("*") — following calls to
 //     same-package top-level functions transitively, and including the
 //     methods of any kernel type the Scan field constructs.
@@ -58,10 +59,12 @@ var (
 		"Metric": true, "Attr": true, "Vec": true,
 		"LookupMetric": true, "LookupAttr": true, "LookupVec": true,
 		"VertexMetricColumn": true, "EdgeMetricColumn": true,
+		"MetricColumn": true, "AttrColumn": true, "VecColumn": true,
 	}
 	writeMethods = map[string]bool{
 		"SetMetric": true, "SetAttr": true, "SetVec": true,
 		"AddMetric": true, "AddVecAt": true,
+		"WritableVertexMetric": true, "WritableVertexVec": true,
 	}
 	// readAllMethods enumerate every key an element has, so they read "*".
 	readAllMethods = map[string]bool{

@@ -109,9 +109,9 @@ var _ = Describe(func(v *Vert) {
 
 // TestDetectsAccumulatorColumnAndEnumerationAccess plants one undeclared
 // access per accessor beyond the plain Metric/Attr/Vec and Set* forms:
-// the accumulating writes, the Lookup* reads, the column reads and the
-// whole-element enumerations (which read "*"). Declared twins of each stay
-// silent.
+// the accumulating writes, the Lookup* reads, the column reads, the column
+// handles, the writable columns and the whole-element enumerations (which
+// read "*"). Declared twins stay silent.
 func TestDetectsAccumulatorColumnAndEnumerationAccess(t *testing.T) {
 	src := `package fake
 
@@ -134,6 +134,11 @@ type Graph struct{}
 
 func (g *Graph) VertexMetricColumn(k string) []float64 { return nil }
 func (g *Graph) EdgeMetricColumn(k string) []float64   { return nil }
+func (g *Graph) MetricColumn(k string) any              { return nil }
+func (g *Graph) AttrColumn(k string) any                { return nil }
+func (g *Graph) VecColumn(k string) any                 { return nil }
+func (g *Graph) WritableVertexMetric(k string) ([]float64, []bool) { return nil, nil }
+func (g *Graph) WritableVertexVec(k string) ([][]float64, []bool)  { return nil, nil }
 
 func Describe(p, i any) any { return p }
 
@@ -145,9 +150,16 @@ var _ = Describe(func(v *Vert, g *Graph) {
 	_, _ = v.LookupVec("lv")
 	_ = g.VertexMetricColumn("etime")
 	_ = g.EdgeMetricColumn("wait")
+	_ = g.MetricColumn("mcol")
+	_ = g.AttrColumn("kind")
+	_ = g.VecColumn("vcol")
+	_, _ = g.WritableVertexMetric("wcol")
+	_, _ = g.WritableVertexVec("wvec")
 	v.AddMetric("okw", 1)
 	_, _ = v.LookupMetric("okr")
 	_ = g.VertexMetricColumn("okr")
+	_ = g.AttrColumn("okr")
+	_, _ = g.WritableVertexMetric("okw")
 }, PassInfo{Reads: []string{"okr"}, Writes: []string{"okw"}})
 
 var _ = Describe(func(v *Vert) {
@@ -179,6 +191,11 @@ var _ = Describe(func(v *Vert) {
 		`read "lv"`,    // LookupVec
 		`read "etime"`, // VertexMetricColumn
 		`read "wait"`,  // EdgeMetricColumn
+		`read "mcol"`,  // MetricColumn handle
+		`read "kind"`,  // AttrColumn handle
+		`read "vcol"`,  // VecColumn handle
+		`write "wcol"`, // WritableVertexMetric
+		`write "wvec"`, // WritableVertexVec
 		`read "*"`,     // EachMetric without a wildcard read
 	}
 	for _, w := range want {
