@@ -8,12 +8,10 @@ import (
 	"perflow/internal/pag"
 )
 
-// Scan kernels: the per-vertex forms of the fusable built-in passes. Each
-// kernel is one pass's loop body lifted out of its standalone function so
-// the planner can drive several kernels from a single shared sweep over the
-// input set. Every Finish reproduces the standalone pass's output
-// construction exactly — same ordering, same cloning, same sort — which is
-// what keeps planned and unplanned reports byte-identical.
+// Scan kernels: the per-vertex forms of the fusable built-in passes. A
+// standalone pass runs its kernel over its input set (scan), and the
+// planner drives several kernels from a single shared sweep, so planned
+// and unplanned runs share one implementation and render the same bytes.
 
 // keyed pairs a vertex with its sort key so ordering kernels can sort over
 // values cached during the shared sweep instead of re-reading the metric

@@ -63,16 +63,9 @@ func (s *Set) Contains(v graph.VertexID) bool {
 // ---- set operation APIs (paper §4.3.1: sorting, filtering, classification,
 // intersection, union, complement, difference; outputs ⊆ inputs) ----
 
-// Filter returns the subset of vertices satisfying pred.
-func (s *Set) Filter(pred func(*graph.Vertex) bool) *Set {
-	out := NewSet(s.PAG)
-	for _, v := range s.V {
-		if pred(s.PAG.G.Vertex(v)) {
-			out.V = append(out.V, v)
-		}
-	}
-	return out
-}
+// Filter returns the subset of vertices satisfying pred, by the filter
+// passes' kernel.
+func (s *Set) Filter(pred func(*graph.Vertex) bool) *Set { return scan(newFilterKernel(s, pred), s) }
 
 // FilterName returns the subset whose names match a glob pattern with a
 // single optional trailing '*' (the paper's filter example: "MPI_*").

@@ -214,20 +214,27 @@ func (sh *rankShard) vertexFor(thread int32, node ir.NodeID) graph.VertexID {
 	if v, ok := sh.flowIdx[k]; ok {
 		return v
 	}
-	n := sh.run.Program.Node(node)
-	var id graph.VertexID
-	if n != nil {
-		id = addIRVertexTo(sh.g, n)
-		sh.nodeOf = append(sh.nodeOf, nodeInfo(n).ID())
-	} else {
-		id = sh.g.AddVertex(fmt.Sprintf("node%d", node), VertexCompute)
-		sh.nodeOf = append(sh.nodeOf, node)
-	}
-	v := sh.g.Vertex(id)
-	v.SetMetric(MetricRank, float64(sh.rank))
-	v.SetMetric(MetricThread, float64(thread))
+	id := addFlowVertex(sh.g, &sh.nodeOf, sh.run.Program, k)
 	sh.flowIdx[k] = id
 	sh.inStream = append(sh.inStream, false)
+	return id
+}
+
+// addFlowVertex adds the flow vertex of k to g, appending its IR node to
+// *nodeOf: a vertex of the program's node k.Node, or a compute vertex
+// named after an ID the program lacks, tagged with k's rank and thread.
+func addFlowVertex(g *graph.Graph, nodeOf *[]ir.NodeID, prog *ir.Program, k FlowKey) graph.VertexID {
+	var id graph.VertexID
+	if n := prog.Node(k.Node); n != nil {
+		id = addIRVertexTo(g, n)
+		*nodeOf = append(*nodeOf, nodeInfo(n).ID())
+	} else {
+		id = g.AddVertex(fmt.Sprintf("node%d", k.Node), VertexCompute)
+		*nodeOf = append(*nodeOf, k.Node)
+	}
+	v := g.Vertex(id)
+	v.SetMetric(MetricRank, float64(k.Rank))
+	v.SetMetric(MetricThread, float64(k.Thread))
 	return id
 }
 
@@ -246,7 +253,7 @@ func (sh *rankShard) build(evs []trace.Event) {
 		// flows stay acyclic.
 		if !sh.inStream[v] {
 			if last, seen := sh.lastInFlow[e.Thread]; seen && last != v {
-				sh.ensureEdge(last, v, EdgeIntraProc)
+				ensureEdge(sh.g, sh.edgeIdx, last, v, EdgeIntraProc)
 			}
 			sh.streams[e.Thread] = append(sh.streams[e.Thread], v)
 			sh.inStream[v] = true
@@ -262,7 +269,7 @@ func (sh *rankShard) build(evs []trace.Event) {
 		// recorded since the previous rank-level event; any pending thread
 		// tails join here first.
 		for _, tail := range sh.pendingJoins {
-			sh.ensureEdge(tail, v, EdgeInterThread)
+			ensureEdge(sh.g, sh.edgeIdx, tail, v, EdgeInterThread)
 		}
 		sh.pendingJoins = sh.pendingJoins[:0]
 		if e.Kind == trace.KindRegion {
@@ -298,23 +305,24 @@ func (sh *rankShard) forkJoinRegion(regionV graph.VertexID, regionIdx int, evs [
 	}
 	slices.Sort(threads)
 	for _, t := range threads {
-		sh.ensureEdge(regionV, firstOf[t], EdgeInterThread)
+		ensureEdge(sh.g, sh.edgeIdx, regionV, firstOf[t], EdgeInterThread)
 		sh.pendingJoins = append(sh.pendingJoins, lastOf[t])
 	}
 }
 
-// ensureEdge adds an edge src -> dst with the label unless one exists, and
-// bumps its count metric. Dedup is by index lookup, not an out-list scan.
-func (sh *rankShard) ensureEdge(src, dst graph.VertexID, label int) graph.EdgeID {
+// ensureEdge adds an edge src -> dst with the label to g unless idx holds
+// one, and bumps its count metric. Dedup is by index lookup, not an
+// out-list scan.
+func ensureEdge(g *graph.Graph, idx map[edgeKey]graph.EdgeID, src, dst graph.VertexID, label int) graph.EdgeID {
 	k := edgeKey{src, dst, label}
-	if eid, ok := sh.edgeIdx[k]; ok {
-		e := sh.g.Edge(eid)
+	if eid, ok := idx[k]; ok {
+		e := g.Edge(eid)
 		e.SetMetric(MetricCount, e.Metric(MetricCount)+1)
 		return eid
 	}
-	eid := sh.g.AddEdge(src, dst, label)
-	sh.g.Edge(eid).SetMetric(MetricCount, 1)
-	sh.edgeIdx[k] = eid
+	eid := g.AddEdge(src, dst, label)
+	g.Edge(eid).SetMetric(MetricCount, 1)
+	idx[k] = eid
 	return eid
 }
 
@@ -359,33 +367,9 @@ func (b *mergedBuilder) vertexFor(rank, thread int32, node ir.NodeID) graph.Vert
 	if v, ok := b.extra[k]; ok {
 		return v
 	}
-	n := b.run.Program.Node(node)
-	var id graph.VertexID
-	if n != nil {
-		id = b.p.addIRVertex(n)
-	} else {
-		id = b.p.G.AddVertex(fmt.Sprintf("node%d", node), VertexCompute)
-		b.p.nodeOf = append(b.p.nodeOf, node)
-	}
-	v := b.p.G.Vertex(id)
-	v.SetMetric(MetricRank, float64(rank))
-	v.SetMetric(MetricThread, float64(thread))
+	id := addFlowVertex(b.p.G, &b.p.nodeOf, b.run.Program, k)
 	b.extra[k] = id
 	return id
-}
-
-// ensureEdge mirrors rankShard.ensureEdge on the merged graph.
-func (b *mergedBuilder) ensureEdge(src, dst graph.VertexID, label int) graph.EdgeID {
-	k := edgeKey{src, dst, label}
-	if eid, ok := b.edgeIdx[k]; ok {
-		e := b.p.G.Edge(eid)
-		e.SetMetric(MetricCount, e.Metric(MetricCount)+1)
-		return eid
-	}
-	eid := b.p.G.AddEdge(src, dst, label)
-	b.p.G.Edge(eid).SetMetric(MetricCount, 1)
-	b.edgeIdx[k] = eid
-	return eid
 }
 
 // addSyncEdges materializes the recorded cross-flow dependences as
@@ -400,7 +384,7 @@ func (b *mergedBuilder) addSyncEdges() {
 		if se.Kind == trace.SyncLock {
 			label = EdgeInterThread
 		}
-		eid := b.ensureEdge(src, dst, label)
+		eid := ensureEdge(b.p.G, b.edgeIdx, src, dst, label)
 		e := b.p.G.Edge(eid)
 		e.SetMetric(MetricWait, e.Metric(MetricWait)+se.Wait)
 		if se.Bytes > 0 {
@@ -458,7 +442,7 @@ func (b *mergedBuilder) addResourceVertices() {
 		b.p.nodeOf = append(b.p.nodeOf, ir.NoNode)
 
 		for _, c := range sortedKeys(contributors[k]) {
-			b.ensureEdge(c, rid, EdgeInterThread)
+			ensureEdge(b.p.G, b.edgeIdx, c, rid, EdgeInterThread)
 		}
 		for _, w := range sortedKeys(waiters[k]) {
 			next := b.continuation(w)
@@ -466,7 +450,7 @@ func (b *mergedBuilder) addResourceVertices() {
 				next = w
 			}
 			if next != rid {
-				eid := b.ensureEdge(rid, next, EdgeInterThread)
+				eid := ensureEdge(b.p.G, b.edgeIdx, rid, next, EdgeInterThread)
 				e := b.p.G.Edge(eid)
 				e.SetMetric(MetricWait, e.Metric(MetricWait)+waiters[k][w])
 			}
