@@ -2,6 +2,8 @@ package pag
 
 import (
 	"bytes"
+	"encoding/binary"
+	"strings"
 	"testing"
 
 	"perflow/internal/graph"
@@ -100,5 +102,15 @@ func TestPAGLoadErrors(t *testing.T) {
 	bad := make([]byte, 24)
 	if _, err := Load(bytes.NewReader(bad), nil); err == nil {
 		t.Error("bad magic should error")
+	}
+	// A node ID far beyond any program would size the flow index.
+	var buf bytes.Buffer
+	if err := BuildParallel(testRun(t, testProgram(t), 2)).Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	huge := buf.Bytes()
+	binary.LittleEndian.PutUint32(huge[24:], 1<<30)
+	if _, err := Load(bytes.NewReader(huge), nil); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("node id 1<<30: err = %v, want out of range", err)
 	}
 }
