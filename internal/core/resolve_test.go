@@ -53,8 +53,9 @@ func projectOracle(s *Set, target *pag.PAG) []graph.VertexID {
 }
 
 // TestProjectMatchesOracle pins Project's output, order included, from the
-// top-down view onto the parallel view and back, for whole views and for
-// random subsets with repeats.
+// top-down view onto the parallel view (also one narrowed to fewer ranks
+// and threads) and back, for whole views and for random subsets with
+// repeats.
 func TestProjectMatchesOracle(t *testing.T) {
 	type tc struct {
 		name           string
@@ -76,8 +77,12 @@ func TestProjectMatchesOracle(t *testing.T) {
 		for i := 0; i < 2*all.Len(); i++ {
 			sub.V = append(sub.V, all.V[rng.Intn(all.Len())])
 		}
+		// A target at a smaller scale than its flows keeps only the flows
+		// of its ranks and threads.
+		narrow := *res.Parallel
+		narrow.NRanks, narrow.NThreads = c.ranks/2, c.threads/2
 		for _, in := range []*Set{all, sub, AllVertices(res.Parallel)} {
-			for _, target := range []*pag.PAG{res.Parallel, res.TopDown} {
+			for _, target := range []*pag.PAG{res.Parallel, res.TopDown, &narrow} {
 				got, want := Project(in, target).V, projectOracle(in, target)
 				if target.View == pag.TopDown {
 					want = nil

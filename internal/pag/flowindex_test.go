@@ -3,6 +3,7 @@ package pag
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"perflow/internal/graph"
@@ -99,4 +100,37 @@ func TestFlowIndexMatchesOracle(t *testing.T) {
 		}
 		checkFlowIndex(t, name+"/loaded", loaded)
 	}
+}
+
+// TestFlowIndexUnorderedVertices checks the index of a view whose flow
+// vertices arrive in no (rank, thread) order, as a hand-written file may
+// hold them (a built view creates them almost in order), after a
+// Save/Load round trip.
+func TestFlowIndexUnorderedVertices(t *testing.T) {
+	g := graph.New(0, 0)
+	p := &PAG{G: g, View: Parallel, NRanks: 3, NThreads: 2}
+	var keys []FlowKey
+	for n := ir.NodeID(0); n < 4; n++ {
+		for r := int32(0); r < 3; r++ {
+			for th := int32(-1); th < 2; th++ {
+				keys = append(keys, FlowKey{Rank: r, Thread: th, Node: n})
+			}
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys {
+		v := g.Vertex(g.AddVertex(fmt.Sprint("n", k.Node), VertexCompute))
+		v.SetMetric(MetricRank, float64(k.Rank))
+		v.SetMetric(MetricThread, float64(k.Thread))
+		p.nodeOf = append(p.nodeOf, k.Node)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkFlowIndex(t, "shuffled", loaded)
 }
