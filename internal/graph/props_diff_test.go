@@ -518,3 +518,50 @@ func TestDistinctKeysAreIndependent(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffTwinsManyKeys pairs twins across thousands of distinct keys,
+// enough for many of them to share a hash, plus repeated keys, keys only
+// one side has, and a second graph built in another order: every g1
+// vertex must meet the k-th g2 vertex of its key, by ID, as a map would
+// pair them.
+func TestDiffTwinsManyKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	type key struct {
+		name, dbg string
+		label     int
+	}
+	var keys []key
+	for i := 0; i < 4000; i++ {
+		k := key{fmt.Sprint("v", i%3000), fmt.Sprint("f.c:", i%1500), i % 3}
+		keys = append(keys, k)
+	}
+	build := func(ks []key, scale float64) *Graph {
+		g := New(len(ks), 0)
+		for i, k := range ks {
+			v := g.Vertex(g.AddVertex(k.name, k.label))
+			v.SetAttr("debug", k.dbg)
+			v.SetMetric("m", scale*float64(i+1))
+		}
+		return g
+	}
+	ks2 := append([]key(nil), keys[500:]...)
+	rng.Shuffle(len(ks2), func(i, j int) { ks2[i], ks2[j] = ks2[j], ks2[i] })
+	ks2 = append(ks2, key{"only-in-g2", "", 0})
+	g1, g2 := build(keys, 1), build(ks2, 1000)
+	byKey := map[key][]int{}
+	for i, k := range ks2 {
+		byKey[k] = append(byKey[k], i)
+	}
+	seen := map[key]int{}
+	d := Diff(g1, g2)
+	for i, k := range keys {
+		want := -float64(i + 1)
+		if c := byKey[k]; seen[k] < len(c) {
+			want += 1000 * float64(c[seen[k]]+1)
+			seen[k]++
+		}
+		if got := d.Vertex(VertexID(i)).Metric("m"); got != want {
+			t.Fatalf("vertex %d %v: diff %v, want %v", i, k, got, want)
+		}
+	}
+}
