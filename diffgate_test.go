@@ -3,8 +3,9 @@ package perflow_test
 // End-to-end coverage of the differential-analysis and policy-gate API:
 // golden diff reports for the halo2d stencil (scale diff and
 // healthy-vs-degraded diff), byte-determinism across -j settings, policy
-// evaluation through ExecuteRequest, the policy-aware cache key, and the
-// CI gate self-check over the workload/example matrix.
+// evaluation through ExecuteRequest, the policy-aware cache key, the CI
+// gate self-check over the workload/example matrix, and the
+// self-difference relation.
 //
 // Regenerate the goldens with: go test -run TestGoldenDiffReports -update .
 
@@ -16,6 +17,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"perflow"
@@ -260,6 +262,67 @@ func TestPolicyGateSelfCheck(t *testing.T) {
 			if outcome.GateFailed != tc.wantFail {
 				t.Errorf("gate failed = %v, want %v; violations: %+v",
 					outcome.GateFailed, tc.wantFail, outcome.Violations)
+			}
+		})
+	}
+}
+
+// TestDiffSelfDifference checks the self-difference relation: a run
+// compared with itself has zero deltas, unit speedup at a 1x rank ratio,
+// no appeared or vanished hotspot and no data-quality regression, and the
+// CI gate policy passes on that diff.
+func TestDiffSelfDifference(t *testing.T) {
+	ciPolicy, err := perflow.ParsePolicyString(readPolicy(t, "ci.policy"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cg, err := perflow.New().RunWorkload("cg", perflow.RunOptions{Ranks: 8, SkipParallelView: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		res  *perflow.Result
+	}{
+		{"cg_r8", cg},
+		{"halo2d_r8", collectHalo2D(t, 8, "", 1)},
+	} {
+		res := tc.res
+		t.Run(tc.name, func(t *testing.T) {
+			rep := perflow.Diff(res, res)
+			a, b := *rep.A, *rep.B
+			a.Label, b.Label = "", ""
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("summaries differ:\n%+v\n%+v", a, b)
+			}
+			for fact, want := range map[string]float64{
+				"rank_ratio": 1, "speedup": 1, "efficiency": 1,
+				"runtime_delta_pct": 0, "wait_delta_pct": 0,
+				"late_sender_delta_pct": 0, "mpi_delta_pct": 0,
+				"imbalance_delta": 0, "hotspot_growth_max_pct": 0,
+				"data_quality_regressed": 0,
+			} {
+				if got, err := rep.Fact(fact, nil); err != nil || got != want {
+					t.Errorf("%s = %v (err %v), want %v", fact, got, err, want)
+				}
+			}
+			if got, err := rep.Fact("speedup_at", []string{"1x"}); err != nil || got != 1 {
+				t.Errorf("speedup_at(1x) = %v (err %v), want 1", got, err)
+			}
+			if len(rep.Hotspots) == 0 {
+				t.Fatal("self-difference has no hotspot rows to check")
+			}
+			for _, h := range rep.Hotspots {
+				if h.DeltaUS != 0 || h.DeltaPct != 0 || h.AUS != h.BUS || h.Appeared || h.Vanished {
+					t.Errorf("hotspot %s @ %s changed against itself: %+v", h.Name, h.Site, h)
+				}
+			}
+			vs, err := perflow.EvaluatePolicy(ciPolicy, &perflow.GateInput{Result: res, Diff: rep})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if perflow.PolicyFailed(vs) {
+				t.Errorf("CI policy fails a run diffed with itself: %+v", vs)
 			}
 		})
 	}

@@ -104,8 +104,8 @@ type Result struct {
 	// the §5.3 Scalasca storage comparison).
 	TraceBytes int64
 
-	// Coverage summarizes per-rank data quality for degraded runs (fault
-	// injection or salvaged traces); nil for a clean run.
+	// Coverage summarizes per-rank data quality for runs degraded by fault
+	// injection; nil for a clean run.
 	Coverage *Coverage
 
 	// prog and base are what Overhead needs to replay the collection
@@ -253,16 +253,11 @@ func coverageDiagnostic(p *ir.Program, c *Coverage) *lint.Diagnostic {
 	}
 }
 
-// CollectAtScales runs the pipeline at two process counts and returns both
-// results — the input shape of differential and scalability analysis
-// (paper Listing 7: a 4-process and a 64-process run).
-func CollectAtScales(p *ir.Program, small, large Options) (*Result, *Result, error) {
-	return CollectAtScalesCtx(context.Background(), p, small, large)
-}
-
-// CollectAtScalesCtx is CollectAtScales under a caller-supplied context:
-// cancellation between and during the two collections aborts promptly
-// with ctx.Err(), matching CollectCtx.
+// CollectAtScalesCtx runs the pipeline at two process counts and returns
+// both results — the input shape of differential and scalability analysis
+// (paper Listing 7: a 4-process and a 64-process run). Cancellation
+// between and during the two collections aborts promptly with ctx.Err(),
+// matching CollectCtx.
 func CollectAtScalesCtx(ctx context.Context, p *ir.Program, small, large Options) (*Result, *Result, error) {
 	rs, err := CollectCtx(ctx, p, small)
 	if err != nil {

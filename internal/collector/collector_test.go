@@ -123,7 +123,7 @@ func TestSkipParallelView(t *testing.T) {
 
 func TestCollectAtScales(t *testing.T) {
 	p := program(t)
-	small, large, err := CollectAtScales(p,
+	small, large, err := CollectAtScalesCtx(context.Background(), p,
 		Options{Ranks: 2, SkipParallelView: true},
 		Options{Ranks: 8, SkipParallelView: true})
 	if err != nil {

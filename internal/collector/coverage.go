@@ -16,11 +16,11 @@ type Coverage struct {
 	Complete int   // ranks with clean, complete streams
 	Crashed  []int // ranks that died mid-run
 	Stalled  []int // ranks truncated while blocked on a dead/silent peer
-	Salvaged []int // ranks whose streams were recovered by the salvage decoder
+	Salvaged []int // ranks with RankStatus.Salvaged; nothing sets it, so empty
 	Slow     []int // ranks with injected compute dilation (complete data)
 
 	DroppedMsgs int // messages the network dropped
-	LostEvents  int // events the salvage decoder could not recover
+	LostEvents  int // summed RankStatus.LostEvents; nothing sets it, so 0
 
 	// Status is the underlying per-rank detail.
 	Status []trace.RankStatus

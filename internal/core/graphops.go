@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
 	"perflow/internal/graph"
-	"perflow/internal/pag"
 )
 
 // Graph-operation APIs on sets (paper §4.3.1): neighbor acquisition, edge
@@ -124,54 +121,4 @@ func (s *Set) AddVertexTo(v graph.VertexID) {
 	if !s.Contains(v) {
 		s.V = append(s.V, v)
 	}
-}
-
-// DOTHeat renders the set's environment in DOT with vertices filled by the
-// severity of metric — "the color saturation of vertices represents the
-// severity of hotspots" in the paper's Figures 4, 5, 7, 9 and 15. The set's
-// vertices are boxed; edges in the set are bold red.
-func DOTHeat(s *Set, name, metric string) string {
-	g := s.PAG.G
-	col := g.MetricColumn(metric)
-	var maxv float64
-	for i := 0; i < g.NumVertices(); i++ {
-		if m := col.At(graph.VertexID(i)); m > maxv {
-			maxv = m
-		}
-	}
-	hiV := map[graph.VertexID]bool{}
-	for _, v := range s.V {
-		hiV[v] = true
-	}
-	hiE := map[graph.EdgeID]bool{}
-	for _, e := range s.E {
-		hiE[e] = true
-	}
-
-	var b strings.Builder
-	fmt.Fprintf(&b, "digraph %q {\n  rankdir=TB;\n  node [shape=ellipse, style=filled];\n", name)
-	for i := 0; i < g.NumVertices(); i++ {
-		v := g.Vertex(graph.VertexID(i))
-		sat := 0.0
-		if maxv > 0 {
-			sat = col.At(v.ID) / maxv
-		}
-		attrs := fmt.Sprintf("label=%q, fillcolor=\"0.05 %.3f 1.0\"", v.Name, sat)
-		if hiV[v.ID] {
-			attrs += ", shape=box, penwidth=2"
-		}
-		fmt.Fprintf(&b, "  v%d [%s];\n", v.ID, attrs)
-	}
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(graph.EdgeID(i))
-		extra := ""
-		if hiE[e.ID] {
-			extra = " [color=red, penwidth=2.5]"
-		} else if e.Label == pag.EdgeInterProcess || e.Label == pag.EdgeInterThread {
-			extra = " [style=dashed]"
-		}
-		fmt.Fprintf(&b, "  v%d -> v%d%s;\n", e.Src, e.Dst, extra)
-	}
-	b.WriteString("}\n")
-	return b.String()
 }

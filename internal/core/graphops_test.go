@@ -113,20 +113,3 @@ func TestBacktrackingWithLowLevelOps(t *testing.T) {
 		t.Errorf("hand-written backtracking never reached the imbalanced compute: %v", visited.Names())
 	}
 }
-
-func TestDOTHeat(t *testing.T) {
-	env, s := buildOpsEnv()
-	env.G.Vertex(0).SetMetric(pag.MetricExclTime, 10)
-	env.G.Vertex(1).SetMetric(pag.MetricExclTime, 100)
-	dot := DOTHeat(s, "heat", pag.MetricExclTime)
-	for _, want := range []string{"digraph", "fillcolor=\"0.05 1.000", "fillcolor=\"0.05 0.100", "style=dashed", "shape=box"} {
-		if !strings.Contains(dot, want) {
-			t.Errorf("heat DOT missing %q:\n%s", want, dot)
-		}
-	}
-	// Zero-metric graphs render without division blowups.
-	empty := DOTHeat(NewSet(env), "h2", "missing_metric")
-	if !strings.Contains(empty, "0.000") {
-		t.Error("zero saturation expected")
-	}
-}

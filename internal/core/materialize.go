@@ -18,7 +18,7 @@ import (
 //
 // The planner's materialization hoisting prewarms entries before stages
 // need them and refcounts consumers; the unplanned path benefits equally
-// because dagOf/Causal/CommonDominators call through the same cache — the
+// because dagOf and Causal call through the same cache — the
 // "double freeze" class of rebuild is gone in both modes.
 
 const matCacheCap = 8

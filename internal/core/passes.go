@@ -412,23 +412,6 @@ func FilterPass(pattern string) Pass {
 	})
 }
 
-// FilterLabelPass keeps vertices with the given PAG label.
-func FilterLabelPass(label int) Pass {
-	return Describe(PassFunc{
-		PassName: fmt.Sprintf("filter(label=%s)", pag.VertexLabelName(label)),
-		NumIn:    1,
-		Fn: func(in []*Set) ([]*Set, error) {
-			return []*Set{in[0].FilterLabel(label)}, nil
-		},
-	}, PassInfo{
-		Pure:      true,
-		Traversal: TraversalScan,
-		Scan: func(in *Set) ScanKernel {
-			return newFilterKernel(in, func(v *graph.Vertex) bool { return v.Label == label })
-		},
-	})
-}
-
 // UnionPass merges any number of input sets.
 func UnionPass() Pass {
 	return Describe(unionPassFunc(), PassInfo{Pure: true, Traversal: TraversalNone})

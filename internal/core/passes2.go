@@ -11,13 +11,12 @@ import (
 
 // Additional built-in passes beyond the four of §4.3.2: community grouping
 // (the community-detection algorithm the paper lists in its graph-algorithm
-// API), dominator-based root-cause search, Scalasca-style wait-state
-// classification expressed as a pass, and scaling-curve classification
-// across three or more runs.
+// API), Scalasca-style wait-state classification expressed as a pass, and
+// scaling-curve classification across three or more runs.
 
 // Attribute keys set by the passes in this file.
 const (
-	// AttrCommunity is the community ID assigned by CommunityPass.
+	// AttrCommunity is the community ID assigned by Community.
 	AttrCommunity = "community"
 	// AttrWaitState is the wait-state class assigned by WaitStates.
 	AttrWaitState = "waitstate"
@@ -71,82 +70,6 @@ func Community(v *Set) []CommunityGroup {
 		return out[i].ID < out[j].ID
 	})
 	return out
-}
-
-// CommunityPass annotates community IDs and forwards the set.
-func CommunityPass() Pass {
-	return PassFunc{
-		PassName: "community_detection",
-		NumIn:    1,
-		Fn: func(in []*Set) ([]*Set, error) {
-			Community(in[0])
-			return []*Set{in[0]}, nil
-		},
-	}
-}
-
-// CommonDominators returns, for the victims in the set, the deepest vertex
-// that dominates ALL of them in the environment's flowgraph rooted at root
-// (every execution path from the root to any victim passes through it) —
-// a stronger "must-pass point" than the LCA, useful when victims share a
-// structural chokepoint. Returns an empty set when no victim is reachable
-// from root. Cyclic environments are condensed first.
-func CommonDominators(v *Set, root graph.VertexID) *Set {
-	out := NewSet(v.PAG)
-	if len(v.V) == 0 || !v.PAG.G.HasVertex(root) {
-		return out
-	}
-	g, _ := dagOf(v.PAG.G)
-	idom := g.Dominators(root)
-	// Walk the first victim's dominator chain; keep entries dominating all.
-	chain := domChain(idom, v.V[0])
-	best := graph.NoVertex
-	for _, d := range chain { // chain is victim -> ... -> root
-		all := true
-		for _, w := range v.V[1:] {
-			if !graph.DominatorOf(idom, d, w) {
-				all = false
-				break
-			}
-		}
-		if all {
-			best = d // first (deepest) common dominator
-			break
-		}
-	}
-	if best != graph.NoVertex {
-		out.V = append(out.V, best)
-	}
-	return out
-}
-
-func domChain(idom []graph.VertexID, v graph.VertexID) []graph.VertexID {
-	var chain []graph.VertexID
-	for v != graph.NoVertex {
-		chain = append(chain, v)
-		p := idom[v]
-		if p == v {
-			break
-		}
-		v = p
-	}
-	return chain
-}
-
-// DominatorPass wraps CommonDominators, rooting at the first in-degree-zero
-// vertex of the environment.
-func DominatorPass() Pass {
-	return PassFunc{
-		PassName: "dominator_analysis",
-		NumIn:    1,
-		Fn: func(in []*Set) ([]*Set, error) {
-			roots := in[0].PAG.G.Roots()
-			if len(roots) == 0 {
-				return []*Set{NewSet(in[0].PAG)}, nil
-			}
-			return []*Set{CommonDominators(in[0], roots[0])}, nil
-		},
-	}
 }
 
 // WaitStates classifies each communication vertex by its dominant wait
@@ -301,31 +224,6 @@ func ScalingCurvePass() Pass {
 				return nil, err
 			}
 			return []*Set{res}, nil
-		},
-	}
-}
-
-// CondensePass replaces the set's environment with its SCC condensation —
-// useful before DAG-only algorithms on cyclic parallel views. The returned
-// set maps each input vertex to its component vertex (deduplicated). The
-// condensation environment maps vertices back to ir.NoNode.
-func CondensePass() Pass {
-	return PassFunc{
-		PassName: "condense",
-		NumIn:    1,
-		Fn: func(in []*Set) ([]*Set, error) {
-			cg, comp := in[0].PAG.G.Condense()
-			env := in[0].PAG.Derive(cg, in[0].PAG.NRanks)
-			out := NewSet(env)
-			seen := map[graph.VertexID]bool{}
-			for _, vid := range in[0].V {
-				cv := graph.VertexID(comp[vid])
-				if !seen[cv] {
-					seen[cv] = true
-					out.V = append(out.V, cv)
-				}
-			}
-			return []*Set{out}, nil
 		},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"perflow/internal/collector"
-	"perflow/internal/graph"
 	"perflow/internal/pag"
 	"perflow/internal/workloads"
 )
@@ -28,50 +27,6 @@ func TestCommunityGroupsHotModule(t *testing.T) {
 		if all.Vertex(i).Attr(AttrCommunity) == "" {
 			t.Fatalf("vertex %s missing community", all.Vertex(i).Name)
 		}
-	}
-	// The pass variant forwards its input.
-	g := NewPerFlowGraph()
-	src := g.AddSource("src", all)
-	cp := g.AddPass(CommunityPass())
-	g.Pipe(src, cp)
-	if _, err := g.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if cp.Output().Len() != all.Len() {
-		t.Error("community pass should forward the set")
-	}
-}
-
-func TestCommonDominators(t *testing.T) {
-	res := collect(t, analysisProgram(t), 4)
-	env := res.TopDown
-	// Victims: the waitall and the allreduce; both are dominated by the
-	// stencil call chain through main.
-	victims := AllVertices(env).FilterName("MPI_Wait*")
-	u, err := victims.Union(AllVertices(env).FilterName("MPI_Allreduce"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	roots := env.G.Roots()
-	if len(roots) == 0 {
-		t.Fatal("no roots")
-	}
-	dom := CommonDominators(u, roots[0])
-	if dom.Len() != 1 {
-		t.Fatalf("common dominators = %v", dom.Names())
-	}
-	// The dominator must itself dominate both victims: sanity via name — it
-	// should be a structural vertex (main / loop / call), not a comm leaf.
-	name := dom.Names()[0]
-	if strings.HasPrefix(name, "MPI_") && u.Len() > 1 {
-		t.Errorf("common dominator is a leaf: %q", name)
-	}
-	// Degenerate inputs.
-	if CommonDominators(NewSet(env), roots[0]).Len() != 0 {
-		t.Error("empty victims should yield empty dominators")
-	}
-	if CommonDominators(u, graph.VertexID(1<<20)).Len() != 0 {
-		t.Error("invalid root should yield empty dominators")
 	}
 }
 
@@ -163,38 +118,6 @@ func TestScalingCurvePassWiring(t *testing.T) {
 		t.Fatal("no output")
 	}
 	_ = sets
-}
-
-func TestCondensePass(t *testing.T) {
-	// Build a small cyclic environment manually.
-	g := graph.New(4, 4)
-	for i := 0; i < 4; i++ {
-		g.AddVertex("v", pag.VertexCompute)
-	}
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 0, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(2, 3, 0)
-	env := &pag.PAG{G: g, NRanks: 1}
-	s := AllVertices(env)
-
-	fg := NewPerFlowGraph()
-	src := fg.AddSource("src", s)
-	cp := fg.AddPass(CondensePass())
-	fg.Pipe(src, cp)
-	if _, err := fg.Run(); err != nil {
-		t.Fatal(err)
-	}
-	out := cp.Output()
-	if out.PAG == s.PAG {
-		t.Error("condense should produce a new environment")
-	}
-	if !out.PAG.G.Frozen().Acyclic() {
-		t.Error("condensed environment is cyclic")
-	}
-	if out.Len() != 3 {
-		t.Errorf("condensed set = %d vertices, want 3", out.Len())
-	}
 }
 
 func TestTopProcesses(t *testing.T) {

@@ -329,14 +329,3 @@ func TestDOTHighlighting(t *testing.T) {
 		t.Error("DOT lacks highlighted vertices")
 	}
 }
-
-func TestSummarizeByName(t *testing.T) {
-	env := fakeEnv("MPI_Send", "MPI_Send", "MPI_Recv")
-	env.G.Vertex(0).SetMetric("time", 5)
-	env.G.Vertex(1).SetMetric("time", 7)
-	env.G.Vertex(2).SetMetric("time", 3)
-	rows := SummarizeByName(AllVertices(env), "time")
-	if len(rows) != 2 || rows[0].Name != "MPI_Send" || rows[0].Total != 12 {
-		t.Errorf("summary = %+v", rows)
-	}
-}

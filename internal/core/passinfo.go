@@ -35,8 +35,7 @@ const (
 	// TraversalReverseBFS marks a backwards walk over in-edges
 	// (backtracking).
 	TraversalReverseBFS
-	// TraversalLCA marks ancestor-set bitset queries (causal analysis,
-	// common dominators).
+	// TraversalLCA marks ancestor-set bitset queries (causal analysis).
 	TraversalLCA
 	// TraversalMatch marks subgraph matching (contention detection).
 	TraversalMatch

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 
 	"perflow/internal/graph"
@@ -262,31 +261,4 @@ func DOT(s *Set, name string) string {
 		hiE[e] = true
 	}
 	return s.PAG.G.DOT(name, hiV, hiE)
-}
-
-// SummarizeByName aggregates a set's vertices by name (summing the metric),
-// sorted descending — the shape of mpiP-style statistical reports.
-func SummarizeByName(s *Set, metric string) []NameTotal {
-	totals := map[string]float64{}
-	m := s.PAG.G.MetricColumn(metric)
-	for _, vid := range s.V {
-		totals[s.PAG.G.Vertex(vid).Name] += m.At(vid)
-	}
-	out := make([]NameTotal, 0, len(totals))
-	for n, t := range totals {
-		out = append(out, NameTotal{Name: n, Total: t})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Total != out[j].Total {
-			return out[i].Total > out[j].Total
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
-
-// NameTotal is one row of SummarizeByName.
-type NameTotal struct {
-	Name  string
-	Total float64
 }

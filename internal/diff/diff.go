@@ -67,12 +67,13 @@ type Summary struct {
 	// time.
 	Hotspots []Hotspot `json:"hotspots"`
 
-	// Degraded reports incomplete input data (crashed/stalled/salvaged
-	// ranks or dropped messages).
+	// Degraded reports incomplete input data (crashed or stalled ranks, or
+	// dropped messages).
 	Degraded bool `json:"degraded"`
 	// CrashedRanks, StalledRanks and SalvagedRanks count ranks by failure
-	// mode; DroppedMsgs and LostEvents count what the network and codec
-	// lost.
+	// mode; DroppedMsgs counts what the network lost. SalvagedRanks and
+	// LostEvents read RankStatus fields no code sets, so they stay 0; they
+	// are kept as policy facts and report columns.
 	CrashedRanks  int `json:"crashed_ranks,omitempty"`
 	StalledRanks  int `json:"stalled_ranks,omitempty"`
 	SalvagedRanks int `json:"salvaged_ranks,omitempty"`

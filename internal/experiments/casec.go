@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 
 	"perflow/internal/baselines"
@@ -256,16 +255,4 @@ func WriteLoC(w io.Writer, r *LoCResult) {
 	fmt.Fprintf(w, "  scalability task via PerFlow API: %d statements (runnable example)\n", r.ParadigmStatements)
 	fmt.Fprintf(w, "  paradigm-internal construction:   %d statements\n", r.ParadigmConstant)
 	fmt.Fprintf(w, "  special-purpose equivalent code:  %d lines\n", r.ScalAnaEquivalent)
-}
-
-// Figure13Series extracts the two Figure 13 series for plotting.
-func Figure13Series(r *CaseCResult) (threads []int, orig, opt []float64) {
-	pts := append([]CaseCPoint(nil), r.Points...)
-	sort.Slice(pts, func(i, j int) bool { return pts[i].Threads < pts[j].Threads })
-	for _, p := range pts {
-		threads = append(threads, p.Threads)
-		orig = append(orig, p.OrigTimeUS)
-		opt = append(opt, p.OptTimeUS)
-	}
-	return threads, orig, opt
 }

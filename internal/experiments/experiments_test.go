@@ -148,9 +148,8 @@ func TestCaseCShape(t *testing.T) {
 	if !strings.Contains(joined, "alloc") && !strings.Contains(joined, "omp_parallel") {
 		t.Errorf("differential top misses allocator machinery: %v", res.DifferentialTop)
 	}
-	threads, orig, opt := Figure13Series(res)
-	if len(threads) != 3 || len(orig) != 3 || len(opt) != 3 {
-		t.Error("Figure 13 series malformed")
+	if len(res.Points) != 3 {
+		t.Errorf("Figure 13 points = %d, want 3", len(res.Points))
 	}
 	var buf bytes.Buffer
 	WriteCaseC(&buf, res)

@@ -1,7 +1,7 @@
 // Package frame is the one codec for durable bytes: the job journal, the
-// disk store's files, the serve cache's envelope and the TRC2 trace format
-// all share its header, its record layout and its rule for torn tails, and
-// the journal and the disk store share its durable file writer.
+// disk store's files and the serve cache's envelope all share its header,
+// its record layout and its rule for torn tails, and the journal and the
+// disk store share its durable file writer.
 //
 //	header:  magic (4 bytes) | version uint32
 //	record:  length uint32 | crc32(payload) uint32 | payload
@@ -93,7 +93,7 @@ func NewReader(records []byte) Reader {
 // Next returns the next record's payload, or io.EOF at the end of the
 // input. A damaged record comes back with the bytes it has and the reason:
 //   - ErrChecksum: the whole declared payload, which fails its CRC. Its
-//     length still delimits it, so a salvager may go on reading.
+//     length still delimits it, so a caller may go on reading.
 //   - ErrTorn: the part of the payload the input holds (nothing when the
 //     record's own header is cut). Every later call returns io.EOF.
 //
@@ -125,7 +125,8 @@ func (r *Reader) Next() ([]byte, error) {
 }
 
 // Declared returns the payload length the last record's header declared,
-// or -1 when Next found no record header.
+// or -1 when Next found no record header. FuzzFrame checks a torn
+// record's bounds through it.
 func (r *Reader) Declared() int { return r.declared }
 
 // TempPrefix marks the in-flight files of WriteFile. A crash between

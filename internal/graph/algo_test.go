@@ -109,23 +109,6 @@ func TestLCACyclicInvalid(t *testing.T) {
 	}
 }
 
-func TestLCAQueryAll(t *testing.T) {
-	g := New(5, 4)
-	for i := 0; i < 5; i++ {
-		g.AddVertex("v", 0)
-	}
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 2, 0)
-	g.AddEdge(1, 3, 0)
-	g.AddEdge(1, 4, 0)
-	f := NewLCAFinder(g)
-	got := f.QueryAll([]VertexID{2, 3, 4})
-	// LCA(2,3)=0, LCA(2,4)=0, LCA(3,4)=1 → {0, 1}
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("QueryAll = %v, want [0 1]", got)
-	}
-}
-
 // Property: on random DAGs the reported LCA is a common ancestor of both
 // queries and at least as deep as any other common ancestor.
 func TestLCAProperty(t *testing.T) {
@@ -240,31 +223,6 @@ func TestCriticalPathCyclic(t *testing.T) {
 	vs, es, w := g.CriticalPath(func(*Vertex) float64 { return 1 }, nil)
 	if vs != nil || es != nil || w != 0 {
 		t.Error("critical path on cyclic graph should be empty")
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := New(5, 5)
-	for i := 0; i < 5; i++ {
-		g.AddVertex("v", 0)
-	}
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(2, 3, 0)
-	g.AddEdge(0, 4, 0)
-	g.AddEdge(4, 3, 0)
-	p := g.ShortestPath(0, 3)
-	if len(p) != 2 {
-		t.Errorf("shortest path len = %d, want 2", len(p))
-	}
-	if !pathOK(g, 0, 3, p) {
-		t.Errorf("path invalid: %v", p)
-	}
-	if g.ShortestPath(3, 0) != nil {
-		t.Error("unreachable path should be nil")
-	}
-	if p := g.ShortestPath(2, 2); p == nil || len(p) != 0 {
-		t.Errorf("self path should be empty non-nil, got %v", p)
 	}
 }
 

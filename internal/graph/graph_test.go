@@ -197,48 +197,6 @@ func TestBFSEarlyStop(t *testing.T) {
 	}
 }
 
-func TestDFSPreorderOrder(t *testing.T) {
-	// Tree: 0 -> 1, 0 -> 4; 1 -> 2, 1 -> 3. Preorder must be 0 1 2 3 4.
-	g := New(5, 4)
-	for i := 0; i < 5; i++ {
-		g.AddVertex("v", 0)
-	}
-	g.AddEdge(0, 1, 0)
-	g.AddEdge(0, 4, 0)
-	g.AddEdge(1, 2, 0)
-	g.AddEdge(1, 3, 0)
-	var order []VertexID
-	g.DFSPreorder(0, func(v VertexID) bool {
-		order = append(order, v)
-		return true
-	})
-	want := []VertexID{0, 1, 2, 3, 4}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestDFSPreorderFiltered(t *testing.T) {
-	g := New(3, 2)
-	for i := 0; i < 3; i++ {
-		g.AddVertex("v", 0)
-	}
-	g.AddEdge(0, 1, 7) // followable
-	g.AddEdge(0, 2, 9) // blocked
-	var seen []VertexID
-	g.DFSPreorderFiltered(0,
-		func(e *Edge) bool { return e.Label == 7 },
-		func(v VertexID) bool { seen = append(seen, v); return true })
-	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
-		t.Errorf("filtered preorder = %v", seen)
-	}
-}
-
 func TestTopoSortDAGAndCycle(t *testing.T) {
 	g := randomDAG(40, 0.15, 2)
 	order, ok := g.TopoSort()

@@ -23,10 +23,6 @@ type LCAFinder struct {
 	// anc caches the ancestor bitset of every queried vertex.
 	anc map[VertexID][]uint64
 
-	// pulls counts pull-direction sweeps taken while building ancestor
-	// sets — the direction-optimizing traversal's observable decision.
-	pulls int
-
 	// query scratch, reused across Query calls.
 	bfsQueue   []VertexID
 	seen       []bool
@@ -60,18 +56,11 @@ func (f *LCAFinder) ancestorBits(v VertexID) []uint64 {
 		return bs
 	}
 	bs := make([]uint64, f.nwords)
-	q, pulls := f.f.AncestorBits(v, bs, f.bfsQueue)
+	q, _ := f.f.AncestorBits(v, bs, f.bfsQueue)
 	f.bfsQueue = q[:0]
-	f.pulls += pulls
 	f.anc[v] = bs
 	return bs
 }
-
-// PullSweeps returns how many pull-direction (bottom-up) sweeps the finder's
-// ancestor-set traversals have taken so far; zero means every set was built
-// purely frontier-push. Exposed so execution traces can report the
-// traversal direction actually chosen.
-func (f *LCAFinder) PullSweeps() int { return f.pulls }
 
 // Query returns the deepest common ancestor of a and b and one path from
 // that ancestor to each query vertex (pathA leads to a, pathB to b). Paths
@@ -157,31 +146,4 @@ func (f *LCAFinder) pathDown(src, dst VertexID, anc []uint64) []EdgeID {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return rev
-}
-
-// QueryAll returns, for each unordered pair of distinct vertices in vs, the
-// deepest common ancestor. Results are deduplicated and returned in ID order.
-func (f *LCAFinder) QueryAll(vs []VertexID) []VertexID {
-	seen := make(map[VertexID]bool)
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			if lca, _, _ := f.Query(vs[i], vs[j]); lca != NoVertex {
-				seen[lca] = true
-			}
-		}
-	}
-	out := make([]VertexID, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sortVertexIDs(out)
-	return out
-}
-
-func sortVertexIDs(vs []VertexID) {
-	for i := 1; i < len(vs); i++ {
-		for j := i; j > 0 && vs[j] < vs[j-1]; j-- {
-			vs[j], vs[j-1] = vs[j-1], vs[j]
-		}
-	}
 }

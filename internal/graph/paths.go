@@ -1,51 +1,6 @@
 package graph
 
-import (
-	"slices"
-	"sort"
-)
-
-// ShortestPath returns one minimum-hop path src -> dst as edge IDs, or nil
-// if dst is unreachable from src.
-func (g *Graph) ShortestPath(src, dst VertexID) []EdgeID {
-	if !g.HasVertex(src) || !g.HasVertex(dst) {
-		return nil
-	}
-	if src == dst {
-		return []EdgeID{}
-	}
-	parent := make([]EdgeID, g.NumVertices())
-	for i := range parent {
-		parent[i] = NoEdge
-	}
-	seen := make([]bool, g.NumVertices())
-	seen[src] = true
-	queue := []VertexID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, eid := range g.out[v] {
-			d := g.edges[eid].Dst
-			if seen[d] {
-				continue
-			}
-			seen[d] = true
-			parent[d] = eid
-			if d == dst {
-				var rev []EdgeID
-				for u := dst; u != src; {
-					e := parent[u]
-					rev = append(rev, e)
-					u = g.edges[e].Src
-				}
-				slices.Reverse(rev)
-				return rev
-			}
-			queue = append(queue, d)
-		}
-	}
-	return nil
-}
+import "sort"
 
 // CommunityDetect partitions the vertices into communities using
 // synchronous label propagation over the undirected skeleton of g, with

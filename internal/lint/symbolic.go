@@ -33,38 +33,38 @@ import (
 func init() {
 	Register(Analyzer{
 		Name: "sym-wildcard-order", Code: "PF030", Severity: SevWarning,
-		Doc:  "an MPI_ANY_SOURCE receive that can match several senders makes message order nondeterministic",
-		Run:  runWildcardOrder,
+		Doc: "an MPI_ANY_SOURCE receive that can match several senders makes message order nondeterministic",
+		Run: runWildcardOrder,
 	})
 	Register(Analyzer{
 		Name: "sym-request-reuse", Code: "PF031", Severity: SevWarning,
-		Doc:  "request reuse before its wait at communicator sizes the enumeration engine never models",
-		Run:  runSymRequestReuse,
+		Doc: "request reuse before its wait at communicator sizes the enumeration engine never models",
+		Run: runSymRequestReuse,
 	})
 	Register(Analyzer{
 		Name: "sym-collective-divergence", Code: "PF032", Severity: SevError,
-		Doc:  "collective divergence at communicator sizes the enumeration engine never models",
-		Run:  runSymCollectiveDivergence,
+		Doc: "collective divergence at communicator sizes the enumeration engine never models",
+		Run: runSymCollectiveDivergence,
 	})
 	Register(Analyzer{
 		Name: "sym-load-imbalance", Code: "PF033", Severity: SevWarning,
-		Doc:  "statically provable load imbalance: one rank's closed-form cost dwarfs the mean",
-		Run:  runSymImbalance,
+		Doc: "statically provable load imbalance: one rank's closed-form cost dwarfs the mean",
+		Run: runSymImbalance,
 	})
 	Register(Analyzer{
 		Name: "sym-redundant-barrier", Code: "PF034", Severity: SevWarning,
-		Doc:  "a barrier immediately following another barrier under the same guards synchronizes nothing",
-		Run:  runSymRedundantBarrier,
+		Doc: "a barrier immediately following another barrier under the same guards synchronizes nothing",
+		Run: runSymRedundantBarrier,
 	})
 	Register(Analyzer{
 		Name: "sym-superlinear-volume", Code: "PF035", Severity: SevWarning,
-		Doc:  "point-to-point communication volume that grows super-linearly with communicator size",
-		Run:  runSymSuperLinear,
+		Doc: "point-to-point communication volume that grows super-linearly with communicator size",
+		Run: runSymSuperLinear,
 	})
 	Register(Analyzer{
 		Name: "sym-size-dependent-mismatch", Code: "PF036", Severity: SevError,
-		Doc:  "point-to-point mismatches at communicator sizes the enumeration engine never models",
-		Run:  runSymSizeMismatch,
+		Doc: "point-to-point mismatches at communicator sizes the enumeration engine never models",
+		Run: runSymSizeMismatch,
 	})
 }
 

@@ -20,7 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"perflow/internal/ir"
@@ -1238,28 +1237,4 @@ func Speedup(base, run *trace.Run) float64 {
 		return 0
 	}
 	return base.TotalTime() / t
-}
-
-// RankTimeVector extracts per-rank completion times sorted by rank, useful
-// for imbalance assertions in tests.
-func RankTimeVector(r *trace.Run) []float64 {
-	v := make([]float64, len(r.Elapsed))
-	copy(v, r.Elapsed)
-	return v
-}
-
-// TopWaitEvents returns the n events with the largest wait component,
-// sorted descending; handy for debugging workload models.
-func TopWaitEvents(r *trace.Run, n int) []trace.Event {
-	var all []trace.Event
-	r.ForEach(func(e *trace.Event) {
-		if e.Wait > 0 {
-			all = append(all, *e)
-		}
-	})
-	sort.Slice(all, func(i, j int) bool { return all[i].Wait > all[j].Wait })
-	if len(all) > n {
-		all = all[:n]
-	}
-	return all
 }

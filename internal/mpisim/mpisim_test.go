@@ -499,22 +499,6 @@ func TestSpeedupHelper(t *testing.T) {
 	}
 }
 
-func TestTopWaitEvents(t *testing.T) {
-	p := ir.NewBuilder("tw").
-		Func("main", "m.c", 1, func(b *ir.Body) {
-			b.Compute("w", 2, ir.Expr{Base: 1, Add: map[int]float64{0: 99}})
-			b.Barrier(3)
-		}).MustBuild()
-	run := mustRun(t, p, Config{NRanks: 4})
-	top := TopWaitEvents(run, 2)
-	if len(top) != 2 {
-		t.Fatalf("top = %d events", len(top))
-	}
-	if top[0].Wait < top[1].Wait {
-		t.Error("top wait events not sorted")
-	}
-}
-
 func TestMaxOpsGuard(t *testing.T) {
 	p := ir.NewBuilder("huge").
 		Func("main", "m.c", 1, func(b *ir.Body) {

@@ -6,7 +6,7 @@ import (
 )
 
 // AttrDataQuality marks graph elements whose metrics are derived from
-// incomplete rank data (crashed, stalled, or salvaged streams). The
+// incomplete rank data (crashed or stalled streams). The
 // contract: a vertex tagged "partial" aggregated at least one event from
 // a rank whose stream is incomplete, so its metrics (and any imbalance
 // vector positions for those ranks) understate the true execution.

@@ -62,21 +62,6 @@ func (mx *Matrix) TotalP2P() Cell {
 	return t
 }
 
-// SortedPairs returns the non-empty rank pairs in (src, dst) order.
-func (mx *Matrix) SortedPairs() []Pair {
-	out := make([]Pair, 0, len(mx.Pairs))
-	for p := range mx.Pairs {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
 // Matrix instantiates the model's symbolic communication structure at one
 // communicator size. Only the send side of each point-to-point exchange is
 // counted (Send/Isend events; the Irecv half of a Sendrecv is a receive and

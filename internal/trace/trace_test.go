@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 
@@ -145,55 +144,11 @@ func TestKindString(t *testing.T) {
 	}
 }
 
-// TestEncodedSizeAndFramedRoundTrip pins the storage-cost model (a 16-byte
-// header, 58 bytes per event, 4 per stream) and checks the TRC2 bytes of
-// the same run salvage back to its events.
+// TestEncodedSizeAndFramedRoundTrip pins the storage-cost model: a
+// 16-byte header, 58 bytes per event and 4 per stream.
 func TestEncodedSizeAndFramedRoundTrip(t *testing.T) {
 	r := sampleRun()
 	if got, want := r.EncodedSize(), int64(16+4*58+2*4); got != want {
 		t.Errorf("EncodedSize = %d, want %d", got, want)
-	}
-	var buf bytes.Buffer
-	n, err := r.EncodeFramed(&buf)
-	if err != nil {
-		t.Fatalf("EncodeFramed: %v", err)
-	}
-	if n != int64(buf.Len()) || n != r.FramedSize() {
-		t.Errorf("EncodeFramed reported %d, wrote %d, FramedSize %d", n, buf.Len(), r.FramedSize())
-	}
-	got, rep := Salvage(&buf)
-	if !rep.Complete {
-		t.Fatalf("intact trace salvaged incomplete: %v", rep)
-	}
-	if got.NRanks != 2 || got.NumEvents() != 4 {
-		t.Fatalf("decoded shape wrong: %d ranks %d events", got.NRanks, got.NumEvents())
-	}
-	for ri := range r.Events {
-		for i := range r.Events[ri] {
-			a, b := r.Events[ri][i], got.Events[ri][i]
-			if a != b {
-				t.Errorf("event [%d][%d] mismatch: %+v vs %+v", ri, i, a, b)
-			}
-		}
-	}
-	if got.TotalTime() != 15 {
-		t.Errorf("decoded TotalTime = %v", got.TotalTime())
-	}
-}
-
-// TestDecodeErrors checks the decoder refuses input too short for a header
-// and a header whose magic is not TRC2, returning an empty run either way.
-func TestDecodeErrors(t *testing.T) {
-	for name, data := range map[string][]byte{
-		"short input": {1, 2},
-		"bad magic":   make([]byte, 16),
-	} {
-		run, rep := Salvage(bytes.NewReader(data))
-		if rep.HeaderOK || rep.Complete {
-			t.Errorf("%s should error, got %v", name, rep)
-		}
-		if run == nil || run.NumEvents() != 0 {
-			t.Errorf("%s: want empty run, got %v", name, run)
-		}
 	}
 }

@@ -5,10 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"perflow/internal/graph"
 	"perflow/internal/ir"
 	"perflow/internal/mpisim"
-	"perflow/internal/pag"
 	"perflow/internal/trace"
 	"perflow/internal/workloads"
 )
@@ -66,54 +64,6 @@ func TestTimelineEmptyRun(t *testing.T) {
 	Timeline(&buf, &trace.Run{}, TimelineOptions{})
 	if !strings.Contains(buf.String(), "empty") {
 		t.Error("empty run not flagged")
-	}
-}
-
-func TestParallelViewRenders(t *testing.T) {
-	p := ir.NewBuilder("pvr").
-		Func("main", "m.c", 1, func(b *ir.Body) {
-			b.Compute("work", 2, ir.Expr{Base: 20, Factor: map[int]float64{0: 5}})
-			b.Isend(3, ir.Peer{Kind: ir.PeerRight}, ir.Const(512), 1, "s")
-			b.Irecv(4, ir.Peer{Kind: ir.PeerLeft}, ir.Const(512), 1, "r")
-			b.Waitall(5)
-			b.Allreduce(6, ir.Const(8))
-		}).MustBuild()
-	run, err := mpisim.Run(p, mpisim.Config{NRanks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pv := pag.BuildParallel(run)
-	hi := map[graph.VertexID]bool{}
-	hiE := map[graph.EdgeID]bool{}
-	// Highlight the waitall vertices and their incoming dependences.
-	for i := 0; i < pv.G.NumVertices(); i++ {
-		v := pv.G.Vertex(graph.VertexID(i))
-		if v.Name == "MPI_Waitall" {
-			hi[graph.VertexID(i)] = true
-			for _, eid := range pv.G.InEdges(graph.VertexID(i)) {
-				if pv.G.Edge(eid).Label == pag.EdgeInterProcess {
-					hiE[eid] = true
-				}
-			}
-		}
-	}
-	var buf bytes.Buffer
-	ParallelView(&buf, pv, ParallelViewOptions{Highlight: hi, HighlightEdges: hiE, MaxRanks: 4, MaxRows: 100})
-	out := buf.String()
-	for _, want := range []string{"process 0", "process 3", "[MPI_Waitall]", "dependences:", "==>"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("parallel view missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestParallelViewRejectsTopDown(t *testing.T) {
-	run := testRun(t)
-	td := pag.BuildTopDown(run.Program)
-	var buf bytes.Buffer
-	ParallelView(&buf, td, ParallelViewOptions{})
-	if !strings.Contains(buf.String(), "not a parallel view") {
-		t.Error("top-down view not rejected")
 	}
 }
 

@@ -1,10 +1,6 @@
 package workloads
 
-import (
-	"fmt"
-
-	"perflow/internal/ir"
-)
+import "perflow/internal/ir"
 
 // ZeusMP builds the case-study-A model (§5.3): a 3-D astrophysics CFD code
 // whose boundary-update routine bvald_ has a load-imbalanced loop
@@ -140,9 +136,4 @@ func haloArg(dir string, recv bool) int {
 		return base + 1
 	}
 	return base
-}
-
-// ZeusMPProblemName mirrors the paper's problem description for reports.
-func ZeusMPProblemName() string {
-	return fmt.Sprintf("zeusmp 256x256x256")
 }
