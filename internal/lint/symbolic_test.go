@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"perflow/internal/ir"
@@ -41,14 +42,132 @@ func cleanPrograms(t *testing.T) map[string]*ir.Program {
 	return out
 }
 
+// badPrograms returns every planted-defect DSL fixture under
+// examples/dsl/bad, parsed leniently, keyed by a display name.
+func badPrograms(t *testing.T) map[string]*ir.Program {
+	t.Helper()
+	paths, err := filepath.Glob("../../examples/dsl/bad/*.pfl")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no bad fixtures found: %v", err)
+	}
+	out := map[string]*ir.Program{}
+	for _, p := range paths {
+		f, err := os.Open(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ir.ParseLenient(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", p, err)
+		}
+		out["bad/"+filepath.Base(p)] = prog
+	}
+	return out
+}
+
+// recursiveSources are programs with cyclic static call graphs that carry
+// stream-visible defects: a mutually recursive pair entered from both
+// sides (a tag mismatch and request reuse inside the cycle), and a
+// self-recursion under a rank guard (a blocking send ring and a collective
+// only rank 0 reaches).
+var recursiveSources = map[string]string{
+	"mutual": `
+program mutual
+func main file mr.c line 1
+  call ping line 2
+  call pong line 3
+  mpi waitall line 4
+end
+func ping file mr.c line 10
+  mpi isend line 11 to right bytes 64 tag 1 req a
+  mpi irecv line 12 to left bytes 64 tag 2 req a
+  call pong line 13
+end
+func pong file mr.c line 20
+  mpi isend line 21 to left bytes 32 tag 3 req b
+  mpi irecv line 22 to right bytes 32 tag 3 req c
+  call ping line 23
+  mpi wait line 24 req c
+end
+`,
+	"selfguard": `
+program selfguard
+func main file sg.c line 1
+  call descend line 2
+end
+func descend file sg.c line 10
+  mpi send line 11 to right bytes 8192 tag 5
+  mpi recv line 12 to left bytes 8192 tag 5
+  branch root line 13 taken 0 add 0:1
+    mpi bcast line 14 bytes 8
+    call descend line 15
+  end
+end
+`,
+}
+
+func parseRecursive(t *testing.T, name string) *ir.Program {
+	t.Helper()
+	prog, err := ir.ParseLenient(strings.NewReader(recursiveSources[name]))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return prog
+}
+
+// TestSymbolicRecursivePrograms pins the full lint output on recursive
+// programs: recursion is cut at the back edge, the stream-visible defects
+// inside the cycle are still found, and the symbolic analyzers (PF030+)
+// stay silent.
+func TestSymbolicRecursivePrograms(t *testing.T) {
+	want := map[string]string{
+		"mutual": `mr.c:11: warning: request "a" reissued by MPI_Isend before the pending MPI_Irecv completed [PF011]
+	mr.c:12: request "a" previously issued here
+mr.c:11: error: MPI_Isend rank 0 -> rank 1 (tag 1) has no matching receive (4 rank pairs affected) [PF012]
+	mr.c:12: rank 1 receives from rank 0 with tag 2 here
+mr.c:12: warning: request "a" reissued by MPI_Irecv before the pending MPI_Isend completed [PF011]
+	mr.c:11: request "a" previously issued here
+mr.c:12: error: MPI_Irecv at rank 1 from rank 0 (tag 2) has no matching send (4 rank pairs affected) [PF012]
+	mr.c:11: rank 0 sends to rank 1 with tag 1 here
+mr.c:21: warning: request "b" reissued by MPI_Isend before the pending MPI_Isend completed [PF011]
+	mr.c:21: request "b" previously issued here
+mr.c:23: error: recursive call cycle through "ping" [PF004]
+`,
+		"selfguard": `sg.c:11: error: potential deadlock at communicator size 4: ranks wait in a cycle 0 -> 1 -> 2 -> 3 -> 0, each blocked in MPI_Send [PF013]
+sg.c:14: warning: collective MPI_Bcast is reached by 1 of 4 ranks (divergent control flow would hang the others) [PF020]
+sg.c:15: error: recursive call cycle through "descend" [PF004]
+`,
+	}
+	for name := range recursiveSources {
+		t.Run(name, func(t *testing.T) {
+			diags, err := Run(parseRecursive(t, name), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if err := Write(&b, diags); err != nil {
+				t.Fatal(err)
+			}
+			if b.String() != want[name] {
+				t.Errorf("lint output mismatch\n--- got ---\n%s--- want ---\n%s", b.String(), want[name])
+			}
+		})
+	}
+}
+
 // TestSymbolicEnumerationAgree is the differential test of the lint
 // rebase: the symbolic dataflow model's per-rank communication stream must
 // be identical — op for op, peer for peer, multiplicity for multiplicity —
-// to the per-rank enumeration walk, on every built-in workload and example
-// at the enumerated sizes and at 64 (a size the enumeration engine never
-// models by default).
+// to the per-rank enumeration walk, on every built-in workload, example and
+// planted-defect fixture at the enumerated sizes and at 64 (a size the
+// enumeration engine never models by default).
 func TestSymbolicEnumerationAgree(t *testing.T) {
-	for name, prog := range cleanPrograms(t) {
+	progs := cleanPrograms(t)
+	for name, prog := range badPrograms(t) {
+		progs[name] = prog
+	}
+	for name, prog := range progs {
 		t.Run(name, func(t *testing.T) {
 			if !prog.Finalized() {
 				if err := prog.FinalizeStructure(); err != nil {
