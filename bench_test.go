@@ -9,6 +9,7 @@ package perflow_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -22,6 +23,7 @@ import (
 	"perflow/internal/experiments"
 	"perflow/internal/graph"
 	"perflow/internal/ir"
+	"perflow/internal/lint"
 	"perflow/internal/mpisim"
 	"perflow/internal/pag"
 	"perflow/internal/workloads"
@@ -161,6 +163,46 @@ func BenchmarkMPISimulator(b *testing.B) {
 				}
 				if run.NumEvents() == 0 {
 					b.Fatal("no events")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLint measures the static diagnostics engine: default lint (sizes
+// 4, 8 and 16 plus the witness sizes) over every built-in workload, one op
+// per pass over all of them, and lint of mg pinned to 4 and to 256 ranks,
+// whose ratio shows how lint cost grows with the rank count. Programs are
+// built outside the timer.
+func BenchmarkLint(b *testing.B) {
+	var progs []*ir.Program
+	for _, name := range workloads.Names() {
+		p, err := workloads.Get(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	b.Run("workloads", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, p := range progs {
+				if _, err := lint.Run(p, lint.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	mg, err := workloads.Get("mg")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, ranks := range []int{4, 256} {
+		b.Run(fmt.Sprintf("mg/ranks=%d", ranks), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lint.Run(mg, lint.Options{Ranks: ranks}); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -86,39 +86,6 @@ func (e Expr) IsZero() bool {
 		len(e.Add) == 0 && e.FactorLowRanks == 0
 }
 
-// WithFactor returns a copy with an added per-rank multiplier.
-func (e Expr) WithFactor(rank int, f float64) Expr {
-	c := e
-	c.Factor = cloneIntMap(e.Factor)
-	if c.Factor == nil {
-		c.Factor = map[int]float64{}
-	}
-	c.Factor[rank] = f
-	return c
-}
-
-// WithAdd returns a copy with an added per-rank addend.
-func (e Expr) WithAdd(rank int, a float64) Expr {
-	c := e
-	c.Add = cloneIntMap(e.Add)
-	if c.Add == nil {
-		c.Add = map[int]float64{}
-	}
-	c.Add[rank] = a
-	return c
-}
-
-func cloneIntMap(m map[int]float64) map[int]float64 {
-	if m == nil {
-		return nil
-	}
-	c := make(map[int]float64, len(m))
-	for k, v := range m {
-		c[k] = v
-	}
-	return c
-}
-
 func sqrtf(x float64) float64 {
 	if x <= 0 {
 		return 0
@@ -228,6 +195,26 @@ func (p Peer) Resolve(rank, nranks int) int {
 	default:
 		return -1
 	}
+}
+
+// Symmetric returns the inverse peer pattern: the pattern under which the
+// rank that targets us is reached, so the receive half of an MPI_Sendrecv
+// comes from p.Symmetric(). Right and Left invert each other, the four
+// halo2d directions pair up (+x/-x, +y/-y), and Const and Xor are their
+// own inverse. An out-of-range halo2d direction is kept; it resolves to no
+// peer either way.
+func (p Peer) Symmetric() Peer {
+	switch p.Kind {
+	case PeerRight:
+		return Peer{Kind: PeerLeft, Arg: p.Arg}
+	case PeerLeft:
+		return Peer{Kind: PeerRight, Arg: p.Arg}
+	case PeerHalo2D:
+		if p.Arg >= 0 && p.Arg < 4 {
+			return Peer{Kind: PeerHalo2D, Arg: p.Arg ^ 1} // 0 <-> 1, 2 <-> 3
+		}
+	}
+	return p
 }
 
 // String renders the peer pattern for reports and the DSL.

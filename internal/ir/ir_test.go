@@ -237,16 +237,47 @@ func TestExprZeroAndCopies(t *testing.T) {
 	if !(Expr{}).IsZero() {
 		t.Error("zero Expr should be zero")
 	}
-	e := Const(4)
-	e2 := e.WithFactor(1, 2).WithAdd(0, 3)
-	if e.Factor != nil || e.Add != nil {
-		t.Error("WithFactor/WithAdd mutated the receiver")
-	}
+	e2 := Expr{Base: 4, Factor: map[int]float64{1: 2}, Add: map[int]float64{0: 3}}
 	if e2.Value(1, 4) != 8 || e2.Value(0, 4) != 7 {
 		t.Errorf("modified expr wrong: %v / %v", e2.Value(1, 4), e2.Value(0, 4))
 	}
 	if e2.IsZero() {
 		t.Error("nonzero expr reported zero")
+	}
+}
+
+// TestPeerSymmetric checks the Sendrecv partner rule: for every pattern
+// that names a rank, the symmetric pattern applied at that rank leads back,
+// at every size from 2 to 64, perfect squares or not. An out-of-range
+// halo2d direction names no rank, forward or back.
+func TestPeerSymmetric(t *testing.T) {
+	var peers []Peer
+	for arg := 0; arg <= 3; arg++ {
+		peers = append(peers, Peer{Kind: PeerRight, Arg: arg}, Peer{Kind: PeerLeft, Arg: arg},
+			Peer{Kind: PeerHalo2D, Arg: arg})
+	}
+	for mask := 1; mask <= 32; mask *= 2 {
+		peers = append(peers, Peer{Kind: PeerXor, Arg: mask})
+	}
+	for n := 2; n <= 64; n++ {
+		for _, p := range peers {
+			for r := 0; r < n; r++ {
+				q := p.Resolve(r, n)
+				if q < 0 {
+					if p.Kind != PeerXor {
+						t.Fatalf("%v at rank %d of %d resolves to no peer", p, r, n)
+					}
+					continue // rank XOR mask beyond the communicator
+				}
+				if back := p.Symmetric().Resolve(q, n); back != r {
+					t.Fatalf("%v at size %d: rank %d -> %d, symmetric %v -> %d", p, n, r, q, p.Symmetric(), back)
+				}
+			}
+		}
+		bad := Peer{Kind: PeerHalo2D, Arg: 7}
+		if bad.Resolve(0, n) != -1 || bad.Symmetric().Resolve(0, n) != -1 {
+			t.Fatalf("halo2d 7 at size %d should name no peer", n)
+		}
 	}
 }
 

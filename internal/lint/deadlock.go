@@ -5,11 +5,12 @@ import (
 	"strings"
 
 	"perflow/internal/ir"
+	"perflow/internal/mpisim"
 )
 
 // Blocking-cycle detection (PF013): each rank blocks first at its earliest
-// blocking point-to-point operation — a rendezvous send (above the eager
-// threshold) or a receive. Rank r waits on rank q when the operation that
+// blocking point-to-point operation — a rendezvous send (above mpisim's
+// default eager threshold) or a receive. Rank r waits on rank q when the operation that
 // would complete r's blocking op exists at q but only *after* q's own
 // blocking point, so q can never reach it; with at most one outgoing
 // wait-for edge per rank the graph is functional and every cycle is a
@@ -28,15 +29,13 @@ func init() {
 }
 
 func runDeadlock(ps *Pass) {
-	var perSize []map[diagKey]Diagnostic
-	for _, size := range ps.Sizes() {
+	reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic {
 		m := map[diagKey]Diagnostic{}
 		for _, d := range deadlockFindings(ps, size) {
 			m[diagKey{node: d.Node}] = d
 		}
-		perSize = append(perSize, m)
-	}
-	reportAtEverySize(ps, perSize)
+		return m
+	})
 }
 
 func deadlockFindings(ps *Pass, size int) []Diagnostic {
@@ -101,7 +100,7 @@ func deadlockFindings(ps *Pass, size int) []Diagnostic {
 func firstBlocking(ops []commOp) int {
 	for i := range ops {
 		o := &ops[i]
-		if o.op == ir.CommRecv || (o.op == ir.CommSend && o.bytes > eagerThreshold) {
+		if o.op == ir.CommRecv || (o.op == ir.CommSend && o.bytes > mpisim.DefaultEagerThreshold) {
 			return i
 		}
 		if o.node.Op.IsCollective() {

@@ -6,14 +6,15 @@
 // analyzers.
 //
 // The MPI checks are rank-symbolic: instead of executing the program, they
-// resolve each rank's communication statically (peer patterns, branch
-// conditions, and loop trip counts are all evaluable per rank) and compare
-// across ranks — statically matching sends to receives, detecting blocking
-// cycles, and spotting divergent collectives. Because a program can be
-// correct at one communicator size and broken at another, peer-sensitive
-// analyzers model several sizes and report only findings that hold at
-// every size (see Pass.Sizes), which keeps size-specific pipelines from
-// producing false alarms.
+// resolve each rank's communication statically from the symbolic dataflow
+// model of internal/sdf (peer patterns, branch conditions, and loop trip
+// counts are all evaluable per rank) and compare across ranks — statically
+// matching sends to receives, detecting blocking cycles, and spotting
+// divergent collectives. Because a program can be correct at one
+// communicator size and broken at another, peer-sensitive analyzers model
+// several sizes and report only findings that hold at every size (see
+// Pass.Sizes), which keeps size-specific pipelines from producing false
+// alarms.
 //
 // Findings can be muted per statement with "# lint:disable=CODE[,CODE]"
 // comments in the DSL (see ir.ParseLenient).
@@ -157,16 +158,12 @@ func (ps *Pass) Sizes() []int {
 }
 
 // Comms returns the statically resolved communication sequence of one rank
-// at the given communicator size, cached across analyzers. The stream comes
-// from the symbolic dataflow model when the program summarizes exactly, and
-// from the per-rank enumeration walker otherwise; the two are identical on
-// every program both can handle.
+// at the given communicator size, evaluated from the symbolic dataflow
+// model and cached across analyzers.
 func (ps *Pass) Comms(rank, size int) []commOp { return ps.cache.comms(rank, size) }
 
 // Model returns the program's symbolic dataflow model, shared across
-// analyzers. It is nil when the engine cannot summarize the program exactly
-// (cyclic static call graph) or when Options.NoSymbolic disabled it; the
-// symbolic analyzers (PF030+) must no-op on nil.
+// analyzers.
 func (ps *Pass) Model() *sdf.Model { return ps.cache.symModel() }
 
 // WitnessSizes returns the communicator sizes worth probing symbolically —
@@ -221,9 +218,11 @@ type diagKey struct {
 
 // reportAtEverySize reports the findings present at every modeled size,
 // with message text taken from the first (smallest) size.
-func reportAtEverySize(ps *Pass, perSize []map[diagKey]Diagnostic) {
-	if len(perSize) == 0 {
-		return
+func reportAtEverySize(ps *Pass, findings func(size int) map[diagKey]Diagnostic) {
+	sizes := ps.Sizes()
+	perSize := make([]map[diagKey]Diagnostic, len(sizes))
+	for i, size := range sizes {
+		perSize[i] = findings(size)
 	}
 	for k, d := range perSize[0] {
 		everywhere := true
@@ -240,28 +239,28 @@ func reportAtEverySize(ps *Pass, perSize []map[diagKey]Diagnostic) {
 }
 
 // runCache shares per-program computations across the analyzers of one Run.
+// The per-size findings are computed once per size and read by every
+// analyzer that needs them: PF010, PF011 and PF031 share the request walk,
+// PF012, PF014 and PF036 the channel aggregation, PF020 and PF032 the
+// collective reach counts.
 type runCache struct {
 	prog    *ir.Program
 	ops     map[[2]int][]commOp // (rank, size) -> resolved comm sequence
 	viol    []ir.Violation
 	violSet bool
+	model   *sdf.Model // lazily built
+	witness []int      // lazily derived witness sizes
 
-	noSym    bool       // Options.NoSymbolic: force the enumeration walker
-	model    *sdf.Model // lazily built; nil when unavailable or disabled
-	modelSet bool
-	witness  []int // lazily derived witness sizes
+	requests   map[int]requestResult
+	matches    map[int]matchResult
+	divergence map[int]map[diagKey]Diagnostic
 }
 
-// symModel lazily builds the symbolic dataflow model, once per Run. A nil
-// return (cyclic call graph, or NoSymbolic) routes every consumer to the
-// enumeration fallback.
+// symModel lazily builds the symbolic dataflow model, once per Run. Run
+// has checked that the entry function exists, so sdf.New cannot fail.
 func (c *runCache) symModel() *sdf.Model {
-	if c.noSym {
-		return nil
-	}
-	if !c.modelSet {
+	if c.model == nil {
 		c.model, _ = sdf.New(c.prog)
-		c.modelSet = true
 	}
 	return c.model
 }
@@ -274,14 +273,22 @@ func (c *runCache) comms(rank, size int) []commOp {
 	if ops, ok := c.ops[key]; ok {
 		return ops
 	}
-	var ops []commOp
-	if m := c.symModel(); m != nil {
-		ops = modelComms(m, rank, size)
-	} else {
-		ops = rankComms(c.prog, rank, size)
-	}
+	ops := modelComms(c.symModel(), rank, size)
 	c.ops[key] = ops
 	return ops
+}
+
+// perSize returns the memoized value of compute for one size.
+func perSize[T any](memo *map[int]T, size int, compute func() T) T {
+	if v, ok := (*memo)[size]; ok {
+		return v
+	}
+	if *memo == nil {
+		*memo = map[int]T{}
+	}
+	v := compute()
+	(*memo)[size] = v
+	return v
 }
 
 func (c *runCache) violations() []ir.Violation {
@@ -299,13 +306,6 @@ type Options struct {
 	Ranks int
 	// Analyzers names the analyzers to run; empty runs all of them.
 	Analyzers []string
-	// NoSymbolic forces the per-rank enumeration walker instead of the
-	// symbolic dataflow engine for the shared communication streams, and
-	// disables the symbolic analyzers (PF030+). Findings from the
-	// enumeration-era analyzers are identical either way (the differential
-	// test pins this); the option exists for that test and as an escape
-	// hatch.
-	NoSymbolic bool
 }
 
 // Run lints a program with the registered analyzers and returns its
@@ -323,7 +323,7 @@ func Run(prog *ir.Program, opts Options) ([]Diagnostic, error) {
 	for _, name := range opts.Analyzers {
 		want[name] = true
 	}
-	cache := &runCache{prog: prog, noSym: opts.NoSymbolic}
+	cache := &runCache{prog: prog}
 	var diags []Diagnostic
 	for _, an := range Analyzers() {
 		if len(want) > 0 && !want[an.Name] {

@@ -18,28 +18,24 @@ func init() {
 	Register(Analyzer{
 		Name: "p2p-match", Code: "PF012", Severity: SevError,
 		Doc: "every point-to-point send needs a matching receive (peer, tag, count)",
-		Run: func(ps *Pass) { runMatch(ps, false) },
+		Run: func(ps *Pass) {
+			reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic { return matchFindings(ps, size).unmatched })
+		},
 	})
 	Register(Analyzer{
 		Name: "p2p-bytes", Code: "PF014", Severity: SevWarning,
 		Doc: "matched sends and receives should agree on message size",
-		Run: func(ps *Pass) { runMatch(ps, true) },
+		Run: func(ps *Pass) {
+			reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic { return matchFindings(ps, size).bytes })
+		},
 	})
 }
 
-func runMatch(ps *Pass, bytesOnly bool) {
-	var perSize []map[diagKey]Diagnostic
-	for _, size := range ps.Sizes() {
-		m := map[diagKey]Diagnostic{}
-		for _, d := range matchFindings(ps, size, bytesOnly) {
-			k := diagKey{node: d.Node}
-			if _, dup := m[k]; !dup {
-				m[k] = d
-			}
-		}
-		perSize = append(perSize, m)
-	}
-	reportAtEverySize(ps, perSize)
+// matchResult holds the point-to-point matching findings at one
+// communicator size, one per anchor node: unmatched channels and count
+// mismatches (PF012), and payload-size disagreements (PF014).
+type matchResult struct {
+	unmatched, bytes map[diagKey]Diagnostic
 }
 
 // chKey identifies a point-to-point channel.
@@ -71,7 +67,15 @@ func accumulate(m map[chKey]*chSide, k chKey, o commOp) {
 	s.bytes += o.mult * o.bytes
 }
 
-func matchFindings(ps *Pass, size int, bytesOnly bool) []Diagnostic {
+// matchFindings aggregates every rank's channels at one communicator size,
+// once per Run. PF012/PF014 intersect the findings across the default
+// sizes; the symbolic PF036 probes the PF012 findings at witness sizes
+// beyond the enumerated set.
+func matchFindings(ps *Pass, size int) matchResult {
+	return perSize(&ps.cache.matches, size, func() matchResult { return matchChannels(ps, size) })
+}
+
+func matchChannels(ps *Pass, size int) matchResult {
 	sends := map[chKey]*chSide{}
 	recvs := map[chKey]*chSide{}
 	wilds := map[wildKey]*chSide{}
@@ -112,19 +116,7 @@ func matchFindings(ps *Pass, size int, bytesOnly bool) []Diagnostic {
 	// One finding per anchor node: a single send statement generates a
 	// channel per rank pair, so defects collapse to the statement with the
 	// affected pair count and the smallest pair as the example.
-	type nodeAgg struct {
-		d     Diagnostic
-		pairs int
-	}
-	aggs := map[ir.NodeID]*nodeAgg{}
-	record := func(d Diagnostic) {
-		if a, ok := aggs[d.Node]; ok {
-			a.pairs++
-		} else {
-			aggs[d.Node] = &nodeAgg{d: d, pairs: 1}
-		}
-	}
-
+	unmatched, bytes := nodeFindings{}, nodeFindings{}
 	for _, k := range sortedKeys(sends) {
 		s := sends[k]
 		rv, matched := recvs[k]
@@ -135,72 +127,91 @@ func matchFindings(ps *Pass, size int, bytesOnly bool) []Diagnostic {
 			// destination completes these sends. Count accounting across the
 			// pool is nondeterministic (PF030 territory), but a payload-size
 			// disagreement is still statically certain.
-			if bytesOnly && s.count > 0 && w.count > 0 &&
-				!closeEnough(s.bytes/s.count, w.bytes/w.count) {
+			if s.count > 0 && w.count > 0 && !closeEnough(s.bytes/s.count, w.bytes/w.count) {
 				d := ps.diag(s.node, s.fn,
 					"%s rank %d -> rank %d (tag %d) sends %s bytes but the any-source receive posts %s bytes",
 					s.op, k.src, k.dst, k.tag, trimFloat(s.bytes/s.count), trimFloat(w.bytes/w.count))
 				d.Related = append(d.Related, related(w.node, "matching any-source %s here", w.op))
-				record(d)
+				bytes.record(d)
 			}
 		case matched && wild:
 			// Explicit receives exist too, but the wildcard competes for the
 			// same messages: static count/size bookkeeping per channel is no
 			// longer meaningful, so stay silent rather than guess.
-		case !matched && !bytesOnly:
+		case !matched:
 			d := ps.diag(s.node, s.fn,
 				"%s rank %d -> rank %d (tag %d) has no matching receive", s.op, k.src, k.dst, k.tag)
 			if hint := tagHint(recvs, k); hint != nil {
 				d.Related = append(d.Related, *hint)
 			}
-			record(d)
-		case matched && !bytesOnly && !closeEnough(s.count, rv.count):
+			unmatched.record(d)
+		case !closeEnough(s.count, rv.count):
 			d := ps.diag(s.node, s.fn,
 				"%s rank %d -> rank %d (tag %d): %s sends but %s receives", s.op, k.src, k.dst, k.tag,
 				trimFloat(s.count), trimFloat(rv.count))
 			d.Related = append(d.Related, related(rv.node, "matching %s here", rv.op))
-			record(d)
-		case matched && bytesOnly && closeEnough(s.count, rv.count) &&
-			!closeEnough(s.bytes/s.count, rv.bytes/rv.count):
+			unmatched.record(d)
+		case !closeEnough(s.bytes/s.count, rv.bytes/rv.count):
 			d := ps.diag(s.node, s.fn,
 				"%s rank %d -> rank %d (tag %d) sends %s bytes but the receive posts %s bytes",
 				s.op, k.src, k.dst, k.tag, trimFloat(s.bytes/s.count), trimFloat(rv.bytes/rv.count))
 			d.Related = append(d.Related, related(rv.node, "matching %s here", rv.op))
-			record(d)
+			bytes.record(d)
 		}
 	}
-	if !bytesOnly {
-		for _, k := range sortedKeys(recvs) {
-			if _, matched := sends[k]; matched {
-				continue
-			}
-			rv := recvs[k]
-			d := ps.diag(rv.node, rv.fn,
-				"%s at rank %d from rank %d (tag %d) has no matching send", rv.op, k.dst, k.src, k.tag)
-			if hint := tagHintSend(sends, k); hint != nil {
-				d.Related = append(d.Related, *hint)
-			}
-			record(d)
+	for _, k := range sortedKeys(recvs) {
+		if _, matched := sends[k]; matched {
+			continue
 		}
-		for _, wk := range sortedWildKeys(wilds) {
-			if sendCandidates[wk] {
-				continue
-			}
-			rv := wilds[wk]
-			record(ps.diag(rv.node, rv.fn,
-				"%s at rank %d from MPI_ANY_SOURCE (tag %d) has no candidate send from any rank",
-				rv.op, wk.dst, wk.tag))
+		rv := recvs[k]
+		d := ps.diag(rv.node, rv.fn,
+			"%s at rank %d from rank %d (tag %d) has no matching send", rv.op, k.dst, k.src, k.tag)
+		if hint := tagHintSend(sends, k); hint != nil {
+			d.Related = append(d.Related, *hint)
 		}
+		unmatched.record(d)
 	}
+	for _, wk := range sortedWildKeys(wilds) {
+		if sendCandidates[wk] {
+			continue
+		}
+		rv := wilds[wk]
+		unmatched.record(ps.diag(rv.node, rv.fn,
+			"%s at rank %d from MPI_ANY_SOURCE (tag %d) has no candidate send from any rank",
+			rv.op, wk.dst, wk.tag))
+	}
+	return matchResult{unmatched: unmatched.findings(), bytes: bytes.findings()}
+}
 
-	var out []Diagnostic
-	for _, a := range aggs {
+// nodeFindings collapses channel findings onto their anchor node: the
+// first finding per node is kept, with a count of the rank pairs it
+// stands for.
+type nodeFindings map[ir.NodeID]*nodeAgg
+
+type nodeAgg struct {
+	d     Diagnostic
+	pairs int
+}
+
+func (nf nodeFindings) record(d Diagnostic) {
+	if a, ok := nf[d.Node]; ok {
+		a.pairs++
+	} else {
+		nf[d.Node] = &nodeAgg{d: d, pairs: 1}
+	}
+}
+
+// findings returns one diagnostic per node, suffixed with the number of
+// affected rank pairs when there are several.
+func (nf nodeFindings) findings() map[diagKey]Diagnostic {
+	m := make(map[diagKey]Diagnostic, len(nf))
+	for id, a := range nf {
 		if a.pairs > 1 {
 			a.d.Message += fmt.Sprintf(" (%d rank pairs affected)", a.pairs)
 		}
-		out = append(out, a.d)
+		m[diagKey{node: id}] = a.d
 	}
-	return out
+	return m
 }
 
 // tagHint finds a receive on the same rank pair under a different tag —

@@ -29,17 +29,18 @@ func init() {
 // different number of times on different ranks, which hangs real MPI.
 // Per-rank reach counts come from the static walk's multiplicities.
 func runDivergence(ps *Pass) {
-	var perSize []map[diagKey]Diagnostic
-	for _, size := range ps.Sizes() {
-		perSize = append(perSize, divergenceFindings(ps, size))
-	}
-	reportAtEverySize(ps, perSize)
+	reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic { return divergenceFindings(ps, size) })
 }
 
 // divergenceFindings computes the collective-divergence findings at one
-// communicator size. PF020 intersects them across the default sizes; the
-// symbolic PF032 probes them at witness sizes beyond the enumerated set.
+// communicator size, once per Run. PF020 intersects them across the
+// default sizes; the symbolic PF032 probes them at witness sizes beyond
+// the enumerated set.
 func divergenceFindings(ps *Pass, size int) map[diagKey]Diagnostic {
+	return perSize(&ps.cache.divergence, size, func() map[diagKey]Diagnostic { return collectiveReach(ps, size) })
+}
+
+func collectiveReach(ps *Pass, size int) map[diagKey]Diagnostic {
 	type reach struct {
 		first   commOp
 		byRank  map[int]float64

@@ -13,67 +13,68 @@ func init() {
 	Register(Analyzer{
 		Name: "unwaited-request", Code: "PF010", Severity: SevError,
 		Doc: "Isend/Irecv requests must be completed by MPI_Wait or MPI_Waitall",
-		Run: func(ps *Pass) { runRequests(ps, "PF010") },
+		Run: func(ps *Pass) {
+			reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic { return requestFindings(ps, size).unwaited })
+		},
 	})
 	Register(Analyzer{
 		Name: "request-reuse", Code: "PF011", Severity: SevWarning,
 		Doc: "a request name must not be reissued before its wait",
-		Run: func(ps *Pass) { runRequests(ps, "PF011") },
+		Run: func(ps *Pass) {
+			reportAtEverySize(ps, func(size int) map[diagKey]Diagnostic { return requestFindings(ps, size).reuse })
+		},
 	})
 }
 
-func runRequests(ps *Pass, code string) {
-	var perSize []map[diagKey]Diagnostic
-	for _, size := range ps.Sizes() {
-		perSize = append(perSize, requestFindings(ps, size, code))
-	}
-	reportAtEverySize(ps, perSize)
+// requestResult holds the request-lifetime findings at one communicator
+// size: requests never completed (PF010) and requests reissued while
+// pending (PF011).
+type requestResult struct {
+	unwaited, reuse map[diagKey]Diagnostic
 }
 
-// requestFindings computes the request-lifetime findings of one kind at one
-// communicator size. PF010/PF011 intersect them across the default sizes;
-// the symbolic PF031 probes them at witness sizes beyond the enumerated
-// set.
-func requestFindings(ps *Pass, size int, code string) map[diagKey]Diagnostic {
-	m := map[diagKey]Diagnostic{}
-	for r := 0; r < size; r++ {
-		rw := &reqWalker{ps: ps, rank: r, size: size, code: code,
-			pending: map[string]*ir.Comm{}, onStack: map[string]bool{}}
-		if entry := ps.Prog.Function(ps.Prog.Entry); entry != nil {
-			rw.onStack[entry.Name] = true
+// requestFindings walks every rank's request lifetimes at one
+// communicator size, once per Run. PF010/PF011 intersect the findings
+// across the default sizes; the symbolic PF031 probes them at witness
+// sizes beyond the enumerated set.
+func requestFindings(ps *Pass, size int) requestResult {
+	return perSize(&ps.cache.requests, size, func() requestResult {
+		res := requestResult{unwaited: map[diagKey]Diagnostic{}, reuse: map[diagKey]Diagnostic{}}
+		entry := ps.Prog.Function(ps.Prog.Entry)
+		for r := 0; r < size; r++ {
+			rw := &reqWalker{ps: ps, rank: r, size: size,
+				pending: map[string]*ir.Comm{}, onStack: map[string]bool{entry.Name: true}}
 			rw.walk(entry.Body, entry.Name)
-		}
-		for req, node := range rw.pending {
-			if code != "PF010" {
-				continue
+			for req, node := range rw.pending {
+				d := ps.diag(node, rw.issuedIn[node],
+					"%s request %q is never completed by MPI_Wait or MPI_Waitall", node.Op, req)
+				res.unwaited[diagKey{node: d.Node, extra: req}] = d
 			}
-			d := ps.diag(node, rw.issuedIn[node],
-				"%s request %q is never completed by MPI_Wait or MPI_Waitall", node.Op, req)
-			m[diagKey{node: d.Node, extra: req}] = d
-		}
-		for _, d := range rw.out {
-			k := diagKey{node: d.Node, extra: d.Message}
-			if _, dup := m[k]; !dup {
-				m[k] = d
+			for _, d := range rw.out {
+				k := diagKey{node: d.Node, extra: d.Message}
+				if _, dup := res.reuse[k]; !dup {
+					res.reuse[k] = d
+				}
 			}
 		}
-	}
-	return m
+		return res
+	})
 }
 
 // reqWalker follows one rank's execution order, tracking which request
 // names have a pending nonblocking operation. Branches and loops are
-// resolved per rank like rankComms; loop bodies are entered once, with a
-// loop-carry check: a request issued inside a multi-trip loop and still
-// pending at the body's end is reused by the next iteration.
+// resolved per rank, and recursion is cut at the back edge as in the
+// symbolic model; loop bodies are entered once, with a loop-carry check: a
+// request issued inside a multi-trip loop and still pending at the body's
+// end is reused by the next iteration. The model's flat event stream has
+// no loop-instance boundaries, so this walk stays on the IR.
 type reqWalker struct {
 	ps         *Pass
 	rank, size int
-	code       string
 	pending    map[string]*ir.Comm
 	issuedIn   map[*ir.Comm]string // issuing node -> enclosing function
 	onStack    map[string]bool
-	out        []Diagnostic
+	out        []Diagnostic // PF011 reuse findings, in walk order
 }
 
 func (rw *reqWalker) issue(x *ir.Comm, fn string) {
@@ -93,7 +94,7 @@ func (rw *reqWalker) walk(ns []ir.Node, fn string) {
 				if x.Req == "" {
 					continue // PF003 reports missing request names
 				}
-				if prev, live := rw.pending[x.Req]; live && rw.code == "PF011" {
+				if prev, live := rw.pending[x.Req]; live {
 					d := rw.ps.diag(x, fn,
 						"request %q reissued by %s before the pending %s completed", x.Req, x.Op, prev.Op)
 					d.Related = append(d.Related, related(prev, "request %q previously issued here", x.Req))
@@ -119,7 +120,7 @@ func (rw *reqWalker) walk(ns []ir.Node, fn string) {
 				before[req] = node
 			}
 			rw.walk(x.Body, fn)
-			if trips > 1 && rw.code == "PF011" {
+			if trips > 1 {
 				for req, node := range rw.pending {
 					if before[req] == node {
 						continue // pending from outside the loop, not loop-carried

@@ -9,27 +9,26 @@ import (
 )
 
 // Symbolic analyzers (PF030–PF036): checks that need the symbolic dataflow
-// model (internal/sdf) rather than — or in addition to — the fixed-size
-// enumeration walk. The enumeration engine models communicator sizes
-// {4, 8, 16} and intersects findings across them, so a defect that only
-// manifests at, say, 21 or 64 ranks is structurally invisible to it. The
-// symbolic engine closes that gap two ways:
+// model (internal/sdf) beyond the per-rank streams every analyzer reads.
+// The enumerated checks model communicator sizes {4, 8, 16} and intersect
+// findings across them, so a defect that only manifests at, say, 21 or 64
+// ranks is structurally invisible to them. The symbolic analyzers close
+// that gap two ways:
 //
 //   - sdf.WitnessSizes derives, from the closed forms in the IR itself, the
 //     finite set of sizes at which any expression or peer pattern changes
 //     behavior. PF031/PF032/PF036 re-run the proven per-size checks at
 //     those witness sizes and report only defects that NO enumerated size
-//     exposes — the enumerated engine keeps its findings, the symbolic
-//     layer adds the ones it provably misses.
+//     exposes — the enumerated checks keep their findings, the symbolic
+//     layer adds the ones they provably miss.
 //   - The model's guarded symbolic event and cost streams support whole-
 //     program questions no single-size walk answers: wildcard fan-in
 //     (PF030), closed-form load imbalance (PF033), structurally adjacent
 //     barriers (PF034), and super-linear volume growth (PF035).
 //
-// All of these no-op when the program cannot be summarized exactly (cyclic
-// call graph), when Options.NoSymbolic disables the engine, or when the
-// run is pinned to a single size (Ranks > 0) — pinned runs keep the
-// enumeration engine's single-size semantics.
+// All of these no-op on recursive programs (PF004 already fails them) and
+// when the run is pinned to a single size (Ranks > 0) — pinned runs keep
+// the single-size semantics of the enumerated checks.
 func init() {
 	Register(Analyzer{
 		Name: "sym-wildcard-order", Code: "PF030", Severity: SevWarning,
@@ -68,22 +67,28 @@ func init() {
 	})
 }
 
-// symbolicReady gates the symbolic analyzers: nil means stay silent. The
-// model is unavailable for programs the engine cannot summarize exactly
-// and under Options.NoSymbolic; pinned-size runs keep the enumeration
-// engine's single-size semantics.
+// symbolicReady gates the symbolic analyzers: nil means stay silent.
+// Pinned-size runs keep the single-size semantics of the enumerated
+// checks, and recursive programs, whose model is cut at the back edge,
+// get no whole-program claims.
 func symbolicReady(ps *Pass) *sdf.Model {
 	if ps.Ranks > 0 {
 		return nil
 	}
+	for _, v := range ps.Violations() {
+		if v.Code == ir.CodeRecursion {
+			return nil
+		}
+	}
 	return ps.Model()
 }
 
-// reportWitnessOnly runs a per-size finding function at every witness size
-// and reports the findings whose anchor node carries NO finding at any
-// enumerated size — those are exactly the defects the enumeration engine
-// provably misses (whether or not its cross-size intersection would have
-// kept them). One finding per node, at the smallest witnessing size.
+// reportWitnessOnly reads a per-size finding function, memoized in the
+// run's cache, at every witness size and reports the findings whose anchor
+// node carries NO finding at any enumerated size — those are exactly the
+// defects the enumerated checks provably miss (whether or not their
+// cross-size intersection would have kept them). One finding per node, at
+// the smallest witnessing size.
 func reportWitnessOnly(ps *Pass, findings func(size int) map[diagKey]Diagnostic) {
 	enum := map[int]bool{}
 	known := map[ir.NodeID]bool{}
@@ -207,9 +212,7 @@ func runSymRequestReuse(ps *Pass) {
 	if symbolicReady(ps) == nil {
 		return
 	}
-	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic {
-		return requestFindings(ps, size, "PF011")
-	})
+	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic { return requestFindings(ps, size).reuse })
 }
 
 // runSymCollectiveDivergence (PF032): the PF020 divergence check, probed at
@@ -219,9 +222,7 @@ func runSymCollectiveDivergence(ps *Pass) {
 	if symbolicReady(ps) == nil {
 		return
 	}
-	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic {
-		return divergenceFindings(ps, size)
-	})
+	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic { return divergenceFindings(ps, size) })
 }
 
 // runSymSizeMismatch (PF036): the PF012 point-to-point matching check,
@@ -230,16 +231,7 @@ func runSymSizeMismatch(ps *Pass) {
 	if symbolicReady(ps) == nil {
 		return
 	}
-	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic {
-		m := map[diagKey]Diagnostic{}
-		for _, d := range matchFindings(ps, size, false) {
-			k := diagKey{node: d.Node}
-			if _, dup := m[k]; !dup {
-				m[k] = d
-			}
-		}
-		return m
-	})
+	reportWitnessOnly(ps, func(size int) map[diagKey]Diagnostic { return matchFindings(ps, size).unmatched })
 }
 
 // imbalanceThreshold is the critical-path/mean ratio above which PF033

@@ -156,70 +156,158 @@ sg.c:15: error: recursive call cycle through "descend" [PF004]
 	}
 }
 
+// rankComms is the test oracle for the symbolic streams: it resolves one
+// rank's communication sequence by walking the IR directly. It is a DFS
+// from the entry function in execution order, taking branches whose
+// condition is nonzero for the rank, entering loops once with multiplicity
+// scaled by the trip count, and following direct calls (external,
+// indirect, and undefined callees are skipped; recursion is cut at the
+// cycle). Sendrecv is expanded to an Isend toward the peer plus an Irecv
+// from the symmetric partner, exactly as mpisim executes it.
+func rankComms(prog *ir.Program, rank, nranks int) []commOp {
+	entry := prog.Function(prog.Entry)
+	if entry == nil {
+		return nil
+	}
+	var out []commOp
+	onStack := map[string]bool{entry.Name: true}
+	var walk func(ns []ir.Node, fn string, mult float64)
+	walk = func(ns []ir.Node, fn string, mult float64) {
+		for _, n := range ns {
+			switch x := n.(type) {
+			case *ir.Comm:
+				emit := func(op ir.CommKind, peer ir.Peer) {
+					o := commOp{node: x, op: op, fn: fn, peer: -1, mult: mult,
+						bytes: x.Bytes.Value(rank, nranks)}
+					switch op {
+					case ir.CommSend, ir.CommRecv, ir.CommIsend, ir.CommIrecv:
+						if peer.Kind == ir.PeerAny {
+							o.peer = wildAny
+						} else {
+							o.peer = peer.Resolve(rank, nranks)
+						}
+					}
+					out = append(out, o)
+				}
+				if x.Op == ir.CommSendrecv {
+					emit(ir.CommIsend, x.Peer)
+					emit(ir.CommIrecv, x.Peer.Symmetric())
+				} else {
+					emit(x.Op, x.Peer)
+				}
+			case *ir.Branch:
+				if x.Taken.Value(rank, nranks) != 0 {
+					walk(x.Body, fn, mult)
+				}
+			case *ir.Loop:
+				if trips := x.Trips.Value(rank, nranks); trips > 0 {
+					walk(x.Body, fn, mult*trips)
+				}
+			case *ir.Call:
+				if x.External || x.Indirect || onStack[x.Callee] {
+					continue
+				}
+				callee := prog.Function(x.Callee)
+				if callee == nil {
+					continue
+				}
+				onStack[x.Callee] = true
+				walk(callee.Body, x.Callee, mult)
+				onStack[x.Callee] = false
+			default:
+				walk(n.Children(), fn, mult)
+			}
+		}
+	}
+	walk(entry.Body, entry.Name, 1)
+	return out
+}
+
+// checkStreams asserts that the symbolic model's stream of every rank at
+// every given size equals the oracle walk's.
+func checkStreams(t *testing.T, prog *ir.Program, sizes []int) {
+	t.Helper()
+	if !prog.Finalized() {
+		if err := prog.FinalizeStructure(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := sdf.New(prog)
+	if err != nil {
+		t.Fatalf("sdf.New: %v", err)
+	}
+	for _, size := range sizes {
+		for r := 0; r < size; r++ {
+			sym := modelComms(m, r, size)
+			enum := rankComms(prog, r, size)
+			if !reflect.DeepEqual(sym, enum) {
+				t.Fatalf("rank %d size %d: symbolic stream (%d ops) != enumerated stream (%d ops)",
+					r, size, len(sym), len(enum))
+			}
+		}
+	}
+}
+
 // TestSymbolicEnumerationAgree is the differential test of the lint
-// rebase: the symbolic dataflow model's per-rank communication stream must
-// be identical — op for op, peer for peer, multiplicity for multiplicity —
-// to the per-rank enumeration walk, on every built-in workload, example and
-// planted-defect fixture at the enumerated sizes and at 64 (a size the
-// enumeration engine never models by default).
+// streams: the symbolic dataflow model's per-rank communication stream
+// must be identical — op for op, peer for peer, multiplicity for
+// multiplicity — to the oracle walk, on every built-in workload, example,
+// planted-defect fixture and recursive program at the enumerated sizes, at
+// 3 and at 64 (sizes the enumerated checks never model).
 func TestSymbolicEnumerationAgree(t *testing.T) {
 	progs := cleanPrograms(t)
 	for name, prog := range badPrograms(t) {
 		progs[name] = prog
 	}
+	for name := range recursiveSources {
+		progs["recursive/"+name] = parseRecursive(t, name)
+	}
 	for name, prog := range progs {
-		t.Run(name, func(t *testing.T) {
-			if !prog.Finalized() {
-				if err := prog.FinalizeStructure(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			m, err := sdf.New(prog)
-			if err != nil {
-				t.Fatalf("sdf.New: %v", err)
-			}
-			for _, size := range []int{4, 8, 16, 64} {
-				for r := 0; r < size; r++ {
-					sym := modelComms(m, r, size)
-					enum := rankComms(prog, r, size)
-					if !reflect.DeepEqual(sym, enum) {
-						t.Fatalf("rank %d size %d: symbolic stream (%d ops) != enumerated stream (%d ops)",
-							r, size, len(sym), len(enum))
-					}
-				}
-			}
-		})
+		t.Run(name, func(t *testing.T) { checkStreams(t, prog, []int{3, 4, 8, 16, 64}) })
 	}
 }
 
+// preSymbolic names the analyzers that predate the symbolic layer: every
+// code below PF030.
+func preSymbolic() []string {
+	var names []string
+	for _, an := range Analyzers() {
+		if an.Code < "PF030" {
+			names = append(names, an.Name)
+		}
+	}
+	return names
+}
+
 // TestSymbolicFindingsMatchEnumeration asserts that on every clean program
-// the full lint run is byte-identical with the symbolic engine on and off:
-// the rebased analyzers draw the same conclusions from the symbolic stream,
-// and the witness-size analyzers add nothing on defect-free programs.
+// the witness-size and whole-program analyzers (PF030+) add nothing — the
+// full lint run equals the run of the pre-symbolic analyzers alone — and
+// that the streams those analyzers read equal the oracle walk at the
+// enumerated sizes.
 func TestSymbolicFindingsMatchEnumeration(t *testing.T) {
 	for name, prog := range cleanPrograms(t) {
 		t.Run(name, func(t *testing.T) {
-			sym, err := Run(prog, Options{})
+			all, err := Run(prog, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			enum, err := Run(prog, Options{NoSymbolic: true})
+			pre, err := Run(prog, Options{Analyzers: preSymbolic()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(sym, enum) {
-				t.Fatalf("findings differ with the symbolic engine on/off:\nsymbolic: %v\nenumerated: %v", sym, enum)
+			if !reflect.DeepEqual(all, pre) {
+				t.Fatalf("the symbolic analyzers reported on a clean program:\nall: %v\npre-symbolic: %v", all, pre)
 			}
+			checkStreams(t, prog, (&Pass{}).Sizes())
 		})
 	}
 }
 
 // TestSymbolicPlantedDefects pins, for each PF030–PF036 fixture, that the
-// symbolic engine reports the planted code at the planted position — and
-// that the pre-symbolic enumeration engine (Options.NoSymbolic) finds
-// NOTHING in the same file. That is the regression guarantee of the
-// symbolic layer: every one of these defects is provably invisible to the
-// old engine.
+// symbolic analyzers report the planted code at the planted position — and
+// that the pre-symbolic analyzers find NOTHING in the same file. That is
+// the regression guarantee of the symbolic layer: every one of these
+// defects is provably invisible to the enumerated checks.
 func TestSymbolicPlantedDefects(t *testing.T) {
 	cases := []struct {
 		fixture string
@@ -267,12 +355,12 @@ func TestSymbolicPlantedDefects(t *testing.T) {
 				t.Errorf("want %s at %s; got %v", tc.code, tc.pos, diags)
 			}
 
-			old, err := Run(parse(), Options{NoSymbolic: true})
+			old, err := Run(parse(), Options{Analyzers: preSymbolic()})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if len(old) != 0 {
-				t.Errorf("the enumeration engine should find nothing in %s; got %v", tc.fixture, old)
+				t.Errorf("the pre-symbolic analyzers should find nothing in %s; got %v", tc.fixture, old)
 			}
 		})
 	}

@@ -37,7 +37,7 @@ type Config struct {
 	Bandwidth float64 // bytes/µs; default 10000 (10 GB/s)
 	// EagerThreshold separates eager sends (sender does not block) from
 	// rendezvous sends (sender blocks until the receive is posted).
-	EagerThreshold float64 // bytes; default 4096
+	EagerThreshold float64 // bytes; default DefaultEagerThreshold
 
 	// Collection perturbation, used to measure dynamic-analysis overhead
 	// (Table 1) and the tracing-vs-sampling comparison (§5.3). Zero values
@@ -69,6 +69,11 @@ type Config struct {
 	AllowPartial bool
 }
 
+// DefaultEagerThreshold is the default Config.EagerThreshold: sends of at
+// most this many bytes complete eagerly, larger sends rendezvous. The lint
+// deadlock analyzer uses the same threshold to decide which sends block.
+const DefaultEagerThreshold = 4096
+
 func (c Config) withDefaults() Config {
 	if c.NRanks <= 0 {
 		c.NRanks = 1
@@ -83,7 +88,7 @@ func (c Config) withDefaults() Config {
 		c.Bandwidth = 10000
 	}
 	if c.EagerThreshold <= 0 {
-		c.EagerThreshold = 4096
+		c.EagerThreshold = DefaultEagerThreshold
 	}
 	if c.MaxOpsPerRank <= 0 {
 		c.MaxOpsPerRank = 4_000_000
@@ -324,7 +329,7 @@ func (f *flattener) push(o op) error {
 // independently. All four ops carry the Sendrecv node identity.
 func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 	sendPeer := x.Peer.Resolve(f.rank, f.nranks)
-	recvPeer := symmetricPartner(x.Peer, f.rank, f.nranks)
+	recvPeer := x.Peer.Symmetric().Resolve(f.rank, f.nranks)
 	if sendPeer < 0 || recvPeer < 0 {
 		return fmt.Errorf("mpisim: rank %d: MPI_Sendrecv at %s has no resolvable peer", f.rank, x.Debug())
 	}
@@ -345,27 +350,6 @@ func (f *flattener) pushSendrecv(x *ir.Comm, ctx trace.CtxID) error {
 		}
 	}
 	return nil
-}
-
-// symmetricPartner returns the rank whose send lands here under the same
-// peer pattern: the partner q with Resolve(q) == rank. For the shift and
-// torus patterns that is the inverse shift; XOR and constant patterns are
-// their own inverse.
-func symmetricPartner(p ir.Peer, rank, nranks int) int {
-	switch p.Kind {
-	case ir.PeerRight:
-		return ir.Peer{Kind: ir.PeerLeft, Arg: p.Arg}.Resolve(rank, nranks)
-	case ir.PeerLeft:
-		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}.Resolve(rank, nranks)
-	case ir.PeerHalo2D:
-		inv := 0
-		if p.Arg >= 0 && p.Arg < 4 {
-			inv = p.Arg ^ 1 // 0 <-> 1, 2 <-> 3
-		}
-		return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv}.Resolve(rank, nranks)
-	default:
-		return p.Resolve(rank, nranks)
-	}
 }
 
 func (f *flattener) nodes(ns []ir.Node, ctx trace.CtxID, mult float64) error {

@@ -627,6 +627,20 @@ func TestSendrecvRingDeadlockFree(t *testing.T) {
 	}
 }
 
+// TestSendrecvUnresolvablePeer pins the failure of a Sendrecv whose peer
+// pattern names no rank: an out-of-range halo2d direction resolves to no
+// peer for the send half and its symmetric receive half alike.
+func TestSendrecvUnresolvablePeer(t *testing.T) {
+	p := ir.NewBuilder("badhalo").
+		Func("main", "m.c", 1, func(b *ir.Body) {
+			b.Sendrecv(3, ir.Peer{Kind: ir.PeerHalo2D, Arg: 7}, ir.Const(64), 0)
+		}).MustBuild()
+	_, err := Run(p, Config{NRanks: 4})
+	if err == nil || !strings.Contains(err.Error(), "MPI_Sendrecv at m.c:3 has no resolvable peer") {
+		t.Fatalf("want an unresolvable-peer error, got %v", err)
+	}
+}
+
 func TestGatherScatterCollectives(t *testing.T) {
 	p := ir.NewBuilder("gs").
 		Func("main", "m.c", 1, func(b *ir.Body) {

@@ -11,9 +11,10 @@
 // size, so both arms stay distinguishable); loops keep their trip counts
 // symbolic. Call sites compose summaries by prefixing the caller's guard
 // and loop context onto every callee event — the interprocedural step.
-// Back edges in the call graph widen to bottom (recursion is rejected by
-// ir.Validate as PF004; the widening only matters for lenient lint runs),
-// which makes the fixpoint converge in one pass over the call DAG.
+// Back edges in the call graph widen to bottom: a call to a function
+// already on the call stack contributes nothing, which makes the fixpoint
+// converge in one pass. ir.Validate rejects recursion (PF004), so only
+// lenient lint runs see a cut.
 //
 // Every derived artifact — the static communication matrix, the per-rank
 // cost vector, the critical-path estimate — is a closed-form function of
@@ -27,10 +28,9 @@
 //     comm-per-iter loop replays its body int(trips) times. Matrix uses
 //     this, which is why the static matrix matches a dynamically collected
 //     one exactly on fault-free runs.
-//   - Event.Weight mirrors the LINT engine's rankComms: multiplicity is
-//     the full (float) product of enclosing trip counts. The symbolic
-//     rebase of PF012–PF014 uses this, keeping findings byte-identical
-//     with the enumeration fallback.
+//   - Event.Weight is the LINT engine's rule: multiplicity is the full
+//     (float) product of enclosing trip counts, the multiplicity a
+//     per-rank walk of the IR gives when it enters each loop once.
 package sdf
 
 import (
@@ -49,7 +49,7 @@ type Event struct {
 	Node *ir.Comm
 	Op   ir.CommKind // effective operation; never CommSendrecv
 	Fn   string      // enclosing function
-	Peer ir.Peer     // symbolic peer (symmetric-inverted for the Irecv half)
+	Peer ir.Peer     // symbolic peer (Symmetric for the Irecv half)
 
 	Guards []*ir.Branch // conjunction of enclosing branch conditions
 	Loops  []*ir.Loop   // enclosing loops, outermost first
@@ -85,7 +85,8 @@ type Model struct {
 	Costs  []*CostItem
 	Items  []Item
 
-	summaries map[string]*summary
+	summaries map[string]*summary // cut-free summaries only
+	cuts      int                 // back edges cut so far
 }
 
 // summary is the per-function dataflow fact: the items one invocation of
@@ -95,26 +96,17 @@ type summary struct {
 	items []Item
 }
 
-// New derives the symbolic dataflow model of a program. It fails when the
-// program has no entry function or when the static call graph is cyclic —
-// recursion widens summaries to bottom, and callers that need exact streams
-// (the lint rebase, the static matrix) must fall back to enumeration
-// in that case rather than silently losing events.
+// New derives the symbolic dataflow model of a program. Its only error is
+// a missing entry function. A recursive call graph is cut at the back edge,
+// where a call to a function already on the call stack contributes no
+// items; that is where a per-rank walk of the IR stops too.
 func New(prog *ir.Program) (*Model, error) {
 	entry := prog.Function(prog.Entry)
 	if entry == nil {
 		return nil, fmt.Errorf("sdf: program has no entry function %q", prog.Entry)
 	}
-	if vs := prog.Violations(); len(vs) > 0 {
-		for _, v := range vs {
-			if v.Code == ir.CodeRecursion {
-				return nil, fmt.Errorf("sdf: %s", v.Msg)
-			}
-		}
-	}
 	m := &Model{Prog: prog, summaries: map[string]*summary{}}
-	onStack := map[string]bool{}
-	sum := m.summarize(entry, onStack)
+	sum := m.summarize(entry, map[string]bool{})
 	m.Items = expand(sum.items, nil, nil)
 	for i := range m.Items {
 		if ev := m.Items[i].Ev; ev != nil {
@@ -126,18 +118,24 @@ func New(prog *ir.Program) (*Model, error) {
 	return m, nil
 }
 
-// summarize computes (and memoizes) the summary of one function: the
-// fixpoint iteration degenerates to a post-order walk because back edges
-// widen to bottom (onStack cut).
+// summarize computes the summary of one function: the fixpoint iteration
+// degenerates to a post-order walk because back edges widen to bottom
+// (onStack cut). Only summaries whose walk cut no back edge are memoized.
+// Such a summary is the same under every call stack: a cut under some
+// stack would need a cycle through the function, and that cycle cuts
+// under every stack. A summary that cut depends on the stack it was built
+// under, so it is rebuilt at each call site.
 func (m *Model) summarize(f *ir.Function, onStack map[string]bool) *summary {
 	if s, ok := m.summaries[f.Name]; ok {
 		return s
 	}
+	cuts := m.cuts
 	onStack[f.Name] = true
-	s := &summary{}
-	s.items = m.walk(f.Body, f.Name, nil, nil, onStack)
+	s := &summary{items: m.walk(f.Body, f.Name, nil, nil, onStack)}
 	onStack[f.Name] = false
-	m.summaries[f.Name] = s
+	if m.cuts == cuts {
+		m.summaries[f.Name] = s
+	}
 	return s
 }
 
@@ -161,7 +159,7 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 			}
 			if x.Op == ir.CommSendrecv {
 				emit(ir.CommIsend, x.Peer)
-				emit(ir.CommIrecv, SymmetricPeer(x.Peer))
+				emit(ir.CommIrecv, x.Peer.Symmetric())
 			} else {
 				emit(x.Op, x.Peer)
 			}
@@ -181,7 +179,8 @@ func (m *Model) walk(ns []ir.Node, fn string, guards []*ir.Branch, loops []*ir.L
 				continue
 			}
 			if onStack[x.Callee] {
-				continue // back edge: widen to bottom
+				m.cuts++ // back edge: widen to bottom
+				continue
 			}
 			callee := m.Prog.Function(x.Callee)
 			if callee == nil {
@@ -281,8 +280,7 @@ func (e *Event) Count(rank, nranks int) float64 {
 
 // Weight returns the event's multiplicity under the LINT engine's
 // semantics: the full floating-point product of enclosing trip counts,
-// regardless of comm-per-iter. The symbolic rebase of the matching
-// analyzers uses this so findings stay identical to the enumeration path.
+// regardless of comm-per-iter. Lint's per-rank streams use it.
 func (e *Event) Weight(rank, nranks int) float64 {
 	if !live(e.Guards, e.Loops, rank, nranks) {
 		return 0
@@ -317,24 +315,4 @@ func (c *CostItem) Value(rank, nranks int) float64 {
 		}
 	}
 	return c.eval(rank, nranks) * mult
-}
-
-// SymmetricPeer inverts a peer pattern, mirroring the simulator's
-// symmetricPartner: the receive half of a Sendrecv comes from the rank
-// whose send targets us. Right and Left invert each other, the four halo2d
-// directions pair up (+x/-x, +y/-y), and Const and Xor are their own
-// inverse.
-func SymmetricPeer(p ir.Peer) ir.Peer {
-	switch p.Kind {
-	case ir.PeerRight:
-		return ir.Peer{Kind: ir.PeerLeft, Arg: p.Arg}
-	case ir.PeerLeft:
-		return ir.Peer{Kind: ir.PeerRight, Arg: p.Arg}
-	case ir.PeerHalo2D:
-		inv := [...]int{1, 0, 3, 2}
-		if p.Arg >= 0 && p.Arg < len(inv) {
-			return ir.Peer{Kind: ir.PeerHalo2D, Arg: inv[p.Arg]}
-		}
-	}
-	return p
 }

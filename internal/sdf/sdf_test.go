@@ -2,6 +2,7 @@ package sdf_test
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -256,5 +257,44 @@ func TestSymbolicRendering(t *testing.T) {
 		if !strings.Contains(r, "count=") || !strings.Contains(r, "bytes=") {
 			t.Errorf("malformed row %q", r)
 		}
+	}
+}
+
+// TestRecursiveModel checks that New summarizes a recursive call graph by
+// cutting each back edge under the call stack it closes: a mutually
+// recursive pair entered from both sides yields both functions' events
+// under each entry, in call order. Its only error is a missing entry.
+func TestRecursiveModel(t *testing.T) {
+	prog, err := ir.ParseLenient(strings.NewReader(`
+program mutual
+func main file mr.c line 1
+  call ping line 2
+  call pong line 3
+end
+func ping file mr.c line 10
+  mpi barrier line 11
+  call pong line 12
+end
+func pong file mr.c line 20
+  mpi bcast line 21 bytes 8
+  call ping line 22
+end
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := sdf.New(prog)
+	if err != nil {
+		t.Fatalf("sdf.New on a recursive program: %v", err)
+	}
+	var lines []int
+	for _, ev := range model.Events {
+		lines = append(lines, ir.InfoOf(ev.Node).Line)
+	}
+	if got, want := fmt.Sprint(lines), "[11 21 21 11]"; got != want {
+		t.Errorf("event lines = %s, want %s", got, want)
+	}
+	if _, err := sdf.New(&ir.Program{Entry: "main"}); err == nil {
+		t.Error("sdf.New without an entry function should fail")
 	}
 }
